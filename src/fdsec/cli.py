@@ -103,6 +103,7 @@ def cmd_sweep(args):
     write_summary(os.path.join(args.out, "summary.txt"), summarize(trials))
     for p in points:
         print(f"{p.parameter}={p.value:g} scheme={p.scheme} feas={p.feasibility_rate:.2f} "
+              f"failed={p.failed} "
               f"mean_dbm={p.mean_power_dbm:.3f} (n={p.common_feasible})")
     print(f"wrote sweep outputs under {args.out}")
 

@@ -30,6 +30,9 @@ from .solver import SolverOptions, solve
 
 SCHEMES = ("optimal", "baseline1", "baseline2", "hd")
 
+# solver statuses that end a trial without a verdict on feasibility
+FAILED_STATUSES = ("numerical_failure", "max_iters")
+
 # deep final complementarity so rank-one eigenvalue tails and constraint
 # tightness land well inside the certificate tolerances
 TRIAL_SOLVER_OPTIONS = SolverOptions(mu_tol_factor=1e-3)
@@ -222,6 +225,7 @@ class SweepPoint:
     scheme: str
     trials: int
     feasible: int
+    failed: int                    # trials with a status in FAILED_STATUSES
     feasibility_rate: float
     common_feasible: int
     mean_power_w: float
@@ -254,6 +258,7 @@ def _aggregate_point(parameter, value, scheme, rows, common_seeds):
     return SweepPoint(
         parameter=parameter, value=float(value), scheme=scheme,
         trials=len(rows), feasible=len(feas),
+        failed=sum(r.status in FAILED_STATUSES for r in rows),
         feasibility_rate=len(feas) / len(rows) if rows else float("nan"),
         common_feasible=len(common),
         mean_power_w=mean_w, mean_power_dbm=mean_dbm, se_power_dbm=se_dbm,
@@ -375,7 +380,7 @@ def write_trials_csv(path, results, cfg):
 
 
 SWEEP_COLUMNS = [
-    "parameter", "value", "scheme", "trials", "feasible", "feasibility_rate",
+    "parameter", "value", "scheme", "trials", "feasible", "failed", "feasibility_rate",
     "common_feasible", "mean_power_w", "mean_power_dbm", "se_power_dbm",
     "mean_dl_secrecy", "mean_ul_secrecy", "rank_one_rate",
     "mean_iterations", "mean_solve_time",
@@ -397,7 +402,7 @@ def write_sweep_dat(path, points):
     with open(path, "w") as fh:
         cols = ["value"]
         for s in schemes:
-            cols += [f"{s}_dbm", f"{s}_se", f"{s}_feas"]
+            cols += [f"{s}_dbm", f"{s}_se", f"{s}_feas", f"{s}_failed"]
         fh.write("# " + " ".join(cols) + "\n")
         for v in values:
             line = [f"{v:g}"]
@@ -406,9 +411,9 @@ def write_sweep_dat(path, points):
                 if match:
                     p = match[0]
                     line += [f"{p.mean_power_dbm:.6f}", f"{p.se_power_dbm:.6f}",
-                             f"{p.feasibility_rate:.4f}"]
+                             f"{p.feasibility_rate:.4f}", f"{p.failed:d}"]
                 else:
-                    line += ["nan", "nan", "nan"]
+                    line += ["nan", "nan", "nan", "nan"]
             fh.write(" ".join(line) + "\n")
 
 

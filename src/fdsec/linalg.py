@@ -1,19 +1,14 @@
 """Dense complex-vector / Hermitian-matrix kernels used by every other module.
 
-All matrices are small (N <= ~16 complex, i.e. <= 32 real after embedding),
-so everything is dense and the eigensolver is a cyclic Jacobi iteration on
-the real symmetric embedding, which is simple and accurate at these sizes.
+All matrices are small (N <= ~16 complex), so everything is dense. The
+eigendecompositions and the pseudoinverse are LAPACK's, through
+``numpy.linalg``, on the complex matrices; the real symmetric embedding is
+kept only for the conic program, whose PSD blocks are real.
 """
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 HERMITIAN_ATOL = 1e-12
-_JACOBI_MAX_SWEEPS = 60
-
-
-class JacobiConvergenceError(RuntimeError):
-    """Jacobi eigensolver failed to reach the off-diagonal tolerance."""
 
 
 def check_hermitian(h, atol=HERMITIAN_ATOL):
@@ -63,148 +58,34 @@ def unembed_hermitian(m, atol=1e-6):
     return a + 1j * b
 
 
-def _jacobi_sym_eig(s, tol=1e-14, max_sweeps=_JACOBI_MAX_SWEEPS):
-    """Cyclic Jacobi for a real symmetric matrix, round-robin ordering.
-
-    Disjoint pivot pairs within a round commute, so each round is applied
-    as a single orthogonal update built from all of its rotations.
-    """
-    a = np.array(s, dtype=float)
-    n = a.shape[0]
-    v = np.eye(n)
-    if n == 1:
-        return a[np.newaxis, 0, 0].ravel(), v
-
-    # round-robin tournament schedule; odd n gets a bye slot (-1)
-    m = n + (n % 2)
-    ring = list(range(n)) + ([-1] if n % 2 else [])
-    rounds = []
-    for _ in range(m - 1):
-        pairs = [(ring[i], ring[m - 1 - i]) for i in range(m // 2)]
-        rounds.append([(min(p, q), max(p, q)) for p, q in pairs if p >= 0 and q >= 0])
-        ring = [ring[0]] + [ring[-1]] + ring[1:-1]
-
-    norm = np.linalg.norm(a)
-    if norm == 0.0:
-        return np.zeros(n), v
-    offdiag = ~np.eye(n, dtype=bool)
-    for _ in range(max_sweeps):
-        off = np.linalg.norm(a[offdiag])
-        if off <= tol * norm:
-            break
-        for pairs in rounds:
-            p = np.array([pq[0] for pq in pairs])
-            q = np.array([pq[1] for pq in pairs])
-            apq = a[p, q]
-            live = np.abs(apq) > 1e-300
-            if not np.any(live):
-                continue
-            tau = (a[q, q] - a[p, p]) / np.where(live, 2.0 * apq, 1.0)
-            t = np.sign(tau) / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
-            t[tau == 0.0] = 1.0
-            t = np.where(live, t, 0.0)
-            c = 1.0 / np.sqrt(1.0 + t * t)
-            sn = t * c
-            g = np.eye(n)
-            g[p, p] = c
-            g[q, q] = c
-            g[p, q] = sn
-            g[q, p] = -sn
-            a = g.T @ a @ g
-            a = 0.5 * (a + a.T)
-            v = v @ g
-    else:
-        raise JacobiConvergenceError(
-            f"Jacobi did not converge in {max_sweeps} sweeps (off-norm {off:.3e})"
-        )
-    return np.diag(a).copy(), v
-
-
 def herm_eig(h):
     """Eigendecomposition of a Hermitian matrix.
 
     Returns (eigenvalues descending, U) with orthonormal complex eigenvector
     columns so that H = U diag(w) U^H.
     """
-    h = check_hermitian(h)
-    n = h.shape[0]
-    w2, v2 = _jacobi_sym_eig(embed_real(h))
-    order = np.argsort(w2)[::-1]
-    w2, v2 = w2[order], v2[:, order]
-    # each complex eigenvector spans a 2-dim real eigenspace of the
-    # embedding; pick N complex-orthonormal representatives greedily
-    cand = v2[:n, :] + 1j * v2[n:, :]
-    vals = np.empty(n)
-    vecs = np.empty((n, n), dtype=complex)
-    taken = 0
-    resid = cand.copy()
-    avail = np.ones(2 * n, dtype=bool)
-    while taken < n:
-        norms = np.where(avail, np.linalg.norm(resid, axis=0), -1.0)
-        j = int(np.argmax(norms))
-        if norms[j] <= 1e-8:
-            raise JacobiConvergenceError("eigenvector recovery lost rank")
-        u = resid[:, j] / norms[j]
-        # re-orthogonalize once for safety
-        if taken:
-            u = u - vecs[:, :taken] @ (vecs[:, :taken].conj().T @ u)
-            u = u / np.linalg.norm(u)
-        vals[taken] = w2[j]
-        vecs[:, taken] = u
-        taken += 1
-        avail[j] = False
-        resid[:, avail] -= np.outer(u, u.conj() @ resid[:, avail])
-    order = np.argsort(vals)[::-1]
-    return vals[order], vecs[:, order]
+    w, u = np.linalg.eigh(check_hermitian(h))
+    return w[::-1], u[:, ::-1]
 
 
 def eigvals_herm(h):
     """Eigenvalues only, descending."""
-    return herm_eig(h)[0]
-
-
-def is_psd(h, tol=1e-9):
-    """True iff the smallest eigenvalue of a Hermitian matrix is >= -tol."""
-    return bool(eigvals_herm(h)[-1] >= -tol)
-
-
-def numerical_rank(h, tol=1e-6):
-    """Count of eigenvalues above tol * lambda_max (zero matrix has rank 0)."""
-    w = eigvals_herm(h)
-    lead = abs(w[0])
-    if lead == 0.0:
-        return 0
-    return int(np.sum(w > tol * lead))
+    return np.linalg.eigvalsh(check_hermitian(h))[::-1]
 
 
 def pseudoinverse_full_col_rank(q, cond_limit=1e12):
-    """Left pseudoinverse (Q^H Q)^{-1} Q^H of a full-column-rank matrix."""
+    """Left pseudoinverse (Q^H Q)^{-1} Q^H of a full-column-rank matrix.
+
+    Computed from the thin SVD Q = U S V^H as V S^{-1} U^H; Q is rank
+    deficient when its condition number s_max/s_min exceeds ``cond_limit``.
+    """
     q = np.asarray(q, dtype=complex)
     if q.ndim == 1:
         q = q[:, np.newaxis]
     rows, cols = q.shape
     if rows < cols:
         raise np.linalg.LinAlgError("need at least as many rows as columns")
-    gram = q.conj().T @ q
-    w = eigvals_herm(gram)
-    if w[-1] <= 0.0 or np.sqrt(w[0] / w[-1]) > cond_limit:
+    u, s, vh = np.linalg.svd(q, full_matrices=False)
+    if s[-1] <= 0.0 or s[0] / s[-1] > cond_limit:
         raise np.linalg.LinAlgError("matrix is numerically rank deficient")
-    # complex HPD solve through the real embedding
-    ge = embed_real(gram)
-    rhs = q.conj().T
-    rhs_e = np.vstack([rhs.real, rhs.imag])
-    sol = solve_spd(ge, rhs_e)
-    return sol[:cols] + 1j * sol[cols:]
-
-
-def solve_spd(m, b):
-    """Solve M x = b for symmetric positive definite M via Cholesky.
-
-    Raises numpy.linalg.LinAlgError when the factorization fails.
-    """
-    m = np.asarray(m, dtype=float)
-    if np.abs(m - m.T).max() > 1e-10 * max(1.0, np.abs(m).max()):
-        raise np.linalg.LinAlgError("matrix is not symmetric")
-    low = np.linalg.cholesky(m)
-    y = solve_triangular(low, b, lower=True)
-    return solve_triangular(low.T, y, lower=False)
+    return (vh.conj().T / s) @ u.conj().T

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.linalg import cho_factor, cho_solve
 
 from .problem import BlockValues
 
@@ -267,7 +267,6 @@ class _Scaling:
 
     def __init__(self, sf, u, z):
         self.g = []
-        self.g_inv = []
         self.lam = []
         for blk, meta in enumerate(sf.metas):
             d = sf.psd_dims[blk]
@@ -282,10 +281,7 @@ class _Scaling:
                 raise np.linalg.LinAlgError("scaling matrix not positive definite")
             lam = np.sqrt(lam_sq)
             g = lx @ (q * lam ** -0.5)
-            lx_inv = solve_triangular(lx, np.eye(d), lower=True)
-            g_inv = (q * lam ** 0.5).T @ lx_inv
             self.g.append(g)
-            self.g_inv.append(g_inv)
             self.lam.append(lam)
         x_orth = u[sf.n_sv:]
         z_orth = z[sf.n_sv:]
@@ -317,19 +313,6 @@ def _scale_dual_vec(sf, scal, vec):
         m = _smat(vec[s:s + sf.sv_lens[blk]], meta, d)
         out[s:s + sf.sv_lens[blk]] = _svec(g.T @ m @ g, meta)
     out[sf.n_sv:] = scal.w_orth * vec[sf.n_sv:]
-    return out
-
-
-def _scale_primal_vec(sf, scal, vec):
-    """Apply the inverse scaling to an x-space vector: svec(G^-1 M G^-T), v/w."""
-    out = np.empty_like(vec)
-    for blk, meta in enumerate(sf.metas):
-        d = sf.psd_dims[blk]
-        s = sf.block_starts[blk]
-        gi = scal.g_inv[blk]
-        m = _smat(vec[s:s + sf.sv_lens[blk]], meta, d)
-        out[s:s + sf.sv_lens[blk]] = _svec(gi @ m @ gi.T, meta)
-    out[sf.n_sv:] = vec[sf.n_sv:] / scal.w_orth
     return out
 
 

@@ -1,7 +1,9 @@
+import csv
 import io
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from fdsec.channel import SystemConfig
 from fdsec.harness import (
     SweepSpec,
     TrialResult,
+    _aggregate_point,
     hd_precheck_fires,
     load_config,
     run_trial,
@@ -19,6 +22,7 @@ from fdsec.harness import (
     trial_csv_header,
     trial_csv_row,
     write_default_config,
+    write_sweep_csv,
     write_sweep_dat,
     write_trials_csv,
 )
@@ -179,14 +183,29 @@ class TestSummaries:
         rows = summarize([self.make("optimal", -10.0), self.make("optimal", 0.0, feasible=False)])
         assert rows[0].feasibility_rate == pytest.approx(0.5)
 
+    def test_sweep_point_counts_solver_failures(self, tmp_path):
+        # a solver failure is counted apart from an infeasible drop
+        infeasible = self.make("optimal", 0.0, feasible=False)
+        rows = [self.make("optimal", -10.0), infeasible,
+                replace(infeasible, status="numerical_failure"),
+                replace(infeasible, status="max_iters")]
+        point = _aggregate_point("gamma_dl_req_db", 6.0, "optimal", rows, set())
+        assert (point.trials, point.feasible, point.failed) == (4, 1, 2)
+        assert point.feasibility_rate == pytest.approx(0.25)
+        write_sweep_csv(tmp_path / "sweep.csv", [point])
+        with open(tmp_path / "sweep.csv") as fh:
+            assert next(csv.DictReader(fh))["failed"] == "2"
+        write_sweep_dat(tmp_path / "sweep.dat", [point])
+        header, line = (tmp_path / "sweep.dat").read_text().splitlines()
+        assert header.split()[-1] == "optimal_failed"
+        assert line.split()[-1] == "2"
+
 
 class TestFiles:
     def test_trials_csv(self, tmp_path):
         results = run_trials(SMALL, [0, 1], ("optimal", "hd"), jobs=1)
         path = tmp_path / "trials.csv"
         write_trials_csv(path, results, SMALL)
-        import csv
-
         with open(path) as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 4

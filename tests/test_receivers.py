@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from fdsec.receivers import zf_receivers
+from fdsec.receivers import ZF_TOL, zf_receivers
 
 
 def random_complex(rng, *shape):
@@ -69,3 +71,15 @@ class TestZfReceivers:
     def test_empty(self):
         rec = zf_receivers(np.zeros((0, 4), dtype=complex))
         assert rec.count == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(shape=st.integers(1, 12).flatmap(lambda n: st.tuples(st.integers(1, n), st.just(n))),
+           seed=st.integers(0, 2**32 - 1), scale_exp=st.integers(-6, 2))
+    @example(shape=(12, 12), seed=0, scale_exp=-6)
+    def test_zero_forcing_property(self, shape, seed, scale_exp):
+        # 1 <= J <= N <= 12, square J = N included, over a range of channel scales
+        j, n = shape
+        g = 10.0 ** scale_exp * random_complex(np.random.default_rng(seed), j, n)
+        rec = zf_receivers(g)
+        assert rec.r.shape == (j, n)
+        assert np.abs(cross_products(rec, g) - np.eye(j)).max() <= ZF_TOL
