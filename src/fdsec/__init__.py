@@ -38,8 +38,6 @@ from .problem import (
     build_baseline_problem,
     build_hd_problem,
     build_optimal_problem,
-    problem_from_text,
-    problem_to_text,
     recover_allocation,
 )
 from .receivers import ReceiverSet, zf_receivers
@@ -78,8 +76,6 @@ __all__ = [
     "noise_powers",
     "objective",
     "path_loss_db",
-    "problem_from_text",
-    "problem_to_text",
     "realize",
     "recover_allocation",
     "run_trial",

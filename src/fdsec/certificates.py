@@ -14,7 +14,8 @@ from typing import Optional
 import numpy as np
 from scipy.optimize import linprog
 
-from .linalg import eigvals_herm, herm_eig, unembed_hermitian
+from .linalg import eigvals_herm, herm_eig
+from .problem import recover_allocation, recover_duals
 
 RANK_TOL = 1e-6
 # relative eavesdropper-cap deficit the power polish treats as held, and
@@ -288,9 +289,8 @@ def dual_certificate(report, chan, cfg, receivers, vmap, tol=RANK_TOL, alloc=Non
     checks that its positive part is positive definite, that exactly one
     eigenvalue (per active user) vanishes, complementarity with the primal
     matrix, a strictly positive C1 multiplier, and consistency with the
-    dual block the solver reported. When ``alloc`` is given (for example
-    after the power polish) the primal side is read from it instead of the
-    raw solver blocks.
+    dual block the solver reported. The primal side is ``alloc`` (for
+    example after the power polish), else the solver's own point.
     """
     if report.status != "optimal":
         raise CertificateUnavailableError(f"no certificate for status {report.status!r}")
@@ -315,13 +315,9 @@ def dual_certificate(report, chan, cfg, receivers, vmap, tol=RANK_TOL, alloc=Non
         a = chan.h_si.conj().T @ receivers.r[j]
         si_mats.append(np.outer(a, a.conj()))
 
-    if alloc is not None:
-        alloc_w = list(alloc.W)
-    else:
-        alloc_w = [unembed_hermitian(report.primal.psd[vmap.w_blocks[k]]) for k in range(k_users)]
-    # the dual of an embedded block represents half the Hermitian pairing
-    solver_y = [2.0 * unembed_hermitian(report.psd_duals[vmap.w_blocks[k]], atol=1e-4)
-                for k in range(k_users)]
+    if alloc is None:
+        alloc = recover_allocation(report.primal, vmap, receivers)
+    solver_y = recover_duals(report, vmap)
 
     ranks = np.zeros(k_users, dtype=int)
     ratios = np.zeros(k_users)
@@ -331,7 +327,7 @@ def dual_certificate(report, chan, cfg, receivers, vmap, tol=RANK_TOL, alloc=Non
     consistency = np.zeros(k_users)
     tightness = np.zeros(k_users)
     ok = True
-    dl_power = sum(float(np.trace(w).real) for w in alloc_w)
+    dl_power = sum(float(np.trace(w).real) for w in alloc.W)
 
     for k in range(k_users):
         base = cfg.alpha * np.eye(n, dtype=complex)
@@ -349,39 +345,28 @@ def dual_certificate(report, chan, cfg, receivers, vmap, tol=RANK_TOL, alloc=Non
         y_eigs = eigvals_herm(y_mat)
         y_max = max(y_eigs[0], 1e-300)
         zero_counts[k] = int(np.sum(np.abs(y_eigs) <= tol * y_max))
-        extraction = extract_beamformer(alloc_w[k], tol)
+        extraction = extract_beamformer(alloc.W[k], tol)
         ratios[k] = extraction.ratio
-        trace_w = float(np.trace(alloc_w[k]).real)
+        trace_w = float(np.trace(alloc.W[k]).real)
         nonzero = trace_w > tol * max(dl_power, 1e-300)
         ranks[k] = 0 if not nonzero else (1 if extraction.rank_one else
                                           int(np.sum(extraction.eigenvalues > tol * extraction.eigenvalues[0])))
         w_out.append(extraction.w if nonzero else np.zeros(n, dtype=complex))
 
-        comp = abs(float(np.sum(y_mat.conj() * alloc_w[k]).real))
+        comp = abs(float(np.sum(y_mat.conj() * alloc.W[k]).real))
         scale_y = max(np.abs(solver_y[k]).max(), np.abs(y_mat).max(), 1e-300)
         consistency[k] = float(np.abs(y_mat - solver_y[k]).max()) / scale_y
 
         # C1 tightness: slack relative to the constraint's own magnitude
         h = chan.h[k]
-        lhs = float(np.real(h.conj() @ alloc_w[k] @ h)) / gamma_dl[k]
+        lhs = float(np.real(h.conj() @ alloc.W[k] @ h)) / gamma_dl[k]
         rhs = chan.sigma2_dl[k]
         for i in range(k_users):
             if i != k:
-                rhs += float(np.real(h.conj() @ alloc_w[i] @ h))
-        if alloc is not None:
-            p_vals = alloc.P
-            v_mat = alloc.V
-        else:
-            p_vals = np.array([report.primal.orthant[i] for i in vmap.p_orthant])
-            if vmap.v_block is not None:
-                v_mat = unembed_hermitian(report.primal.psd[vmap.v_block])
-            elif vmap.v_orthant_index is not None:
-                v_mat = float(report.primal.orthant[vmap.v_orthant_index]) * vmap.v_direction
-            else:
-                v_mat = np.zeros((n, n), dtype=complex)
+                rhs += float(np.real(h.conj() @ alloc.W[i] @ h))
         if j_users:
-            rhs += float(p_vals @ np.abs(chan.f[:, k]) ** 2)
-        rhs += float(np.real(h.conj() @ v_mat @ h))
+            rhs += float(alloc.P @ np.abs(chan.f[:, k]) ** 2)
+        rhs += float(np.real(h.conj() @ alloc.V @ h))
         tightness[k] = abs(lhs - rhs) / max(lhs, rhs, 1e-300)
 
         if nonzero:

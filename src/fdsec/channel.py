@@ -7,7 +7,7 @@ and a Rician-faded residual self-interference channel.
 """
 
 import logging
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -240,55 +240,3 @@ def realize(cfg, seed):
     """Geometry plus channels for one seed (the per-trial entry point)."""
     geometry = drop_geometry(cfg, seed)
     return geometry, sample_channels(cfg, geometry, seed)
-
-
-def dump_channels(chan, stream):
-    """Write one realization as plain text, complex entries as (re, im) pairs.
-
-    Layout: one line per scalar entry, ``<array> <i> <j> <re> <im>`` with
-    1-based indices (noise lines carry the power in the ``re`` column and 0).
-    """
-    def emit(name, arr):
-        arr = np.atleast_2d(arr)
-        for i in range(arr.shape[0]):
-            for jj in range(arr.shape[1]):
-                z = complex(arr[i, jj])
-                stream.write(f"{name} {i + 1} {jj + 1} {z.real!r} {z.imag!r}\n")
-
-    emit("h", chan.h)
-    emit("g", chan.g)
-    emit("l", chan.l)
-    emit("f", chan.f)
-    emit("t", chan.t)
-    emit("h_si", chan.h_si)
-    emit("sigma2_dl", chan.sigma2_dl[np.newaxis, :])
-    emit("sigma2_bs", np.array([[chan.sigma2_bs]]))
-    emit("sigma2_eve", chan.sigma2_eve[np.newaxis, :])
-
-
-def load_channels(stream):
-    """Invert :func:`dump_channels`."""
-    entries = {}
-    for line in stream:
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        name, i, jj, re, im = line.split()
-        entries.setdefault(name, {})[(int(i) - 1, int(jj) - 1)] = float(re) + 1j * float(im)
-
-    def as_array(name):
-        cells = entries[name]
-        rows = 1 + max(ij[0] for ij in cells)
-        cols = 1 + max(ij[1] for ij in cells)
-        arr = np.zeros((rows, cols), dtype=complex)
-        for (i, jj), z in cells.items():
-            arr[i, jj] = z
-        return arr
-
-    return ChannelRealization(
-        h=as_array("h"), g=as_array("g"), l=as_array("l"),
-        f=as_array("f"), t=as_array("t"), h_si=as_array("h_si"),
-        sigma2_dl=as_array("sigma2_dl").real.ravel(),
-        sigma2_bs=float(as_array("sigma2_bs").real[0, 0]),
-        sigma2_eve=as_array("sigma2_eve").real.ravel(),
-    )

@@ -2,8 +2,7 @@
 
 All matrices are small (N <= ~16 complex), so everything is dense. The
 eigendecompositions and the pseudoinverse are LAPACK's, through
-``numpy.linalg``, on the complex matrices; the real symmetric embedding is
-kept only for the conic program, whose PSD blocks are real.
+``numpy.linalg``, on the complex matrices.
 """
 
 import numpy as np
@@ -22,40 +21,6 @@ def check_hermitian(h, atol=HERMITIAN_ATOL):
     if np.abs(h - h.conj().T).max() > atol * scale:
         raise ValueError("matrix is not Hermitian within tolerance")
     return h
-
-
-def embed_real(h):
-    """Real symmetric embedding [[A, -B], [B, A]] of a Hermitian H = A + iB.
-
-    Eigenvalues of the embedding are those of H, each doubled in
-    multiplicity, and the trace doubles.
-    """
-    h = np.asarray(h, dtype=complex)
-    a, b = h.real, h.imag
-    return np.block([[a, -b], [b, a]])
-
-
-def unembed_hermitian(m, atol=1e-6):
-    """Invert :func:`embed_real`, averaging the redundant blocks.
-
-    Raises if the input deviates from the embedding structure by more than
-    ``atol`` relative to its Frobenius norm.
-    """
-    m = np.asarray(m, dtype=float)
-    d = m.shape[0]
-    if d % 2 != 0:
-        raise ValueError("embedded matrix must have even dimension")
-    n = d // 2
-    m11, m12, m21, m22 = m[:n, :n], m[:n, n:], m[n:, :n], m[n:, n:]
-    scale = max(np.linalg.norm(m), 1e-300)
-    asym = np.sqrt(np.linalg.norm(m11 - m22) ** 2 + np.linalg.norm(m12 + m21) ** 2)
-    if asym > atol * scale:
-        raise ValueError(f"embedding asymmetry {asym / scale:.3e} exceeds {atol:.1e}")
-    a = 0.5 * (m11 + m22)
-    b = 0.5 * (m21 - m12)
-    a = 0.5 * (a + a.T)
-    b = 0.5 * (b - b.T)
-    return a + 1j * b
 
 
 def herm_eig(h):

@@ -53,9 +53,6 @@ class Margins:
         parts = [m.min() for m in (self.c1, self.c2, self.c3, self.c4, self.c5) if m.size]
         return min(parts) if parts else 0.0
 
-    def satisfied(self, tol=0.0):
-        return self.worst() >= -tol
-
 
 @dataclass(frozen=True)
 class QosReport:

@@ -4,7 +4,9 @@ The relaxed problem is a linear objective over K+1 Hermitian PSD variables
 (DL beamforming matrices and the AN covariance) plus nonnegative UL powers,
 with one affine inequality per QoS constraint. Hermitian data is embedded
 into real symmetric blocks with a factor 1/2 so every linear functional
-keeps its complex-domain value, and reported powers stay physical.
+keeps its complex-domain value, and reported powers stay physical. The
+embedding is private to this module: callers get Hermitian matrices back
+from :func:`recover_allocation` and :func:`recover_duals`.
 
 Baseline schemes replace the AN covariance by a nonnegative power on a
 fixed unit-trace direction; the half-duplex probe removes it entirely.
@@ -15,7 +17,6 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import embed_real, unembed_hermitian
 from .metrics import Allocation
 
 SENSES = (">=", "<=")
@@ -128,10 +129,54 @@ class VariableMap:
         return [(lab, i) for lab, i in self.row_index.items() if lab.startswith(prefix)]
 
 
+def _embed_real(h):
+    """Real symmetric embedding [[A, -B], [B, A]] of a Hermitian H = A + iB.
+
+    Eigenvalues of the embedding are those of H, each doubled in
+    multiplicity, and the trace doubles.
+    """
+    h = np.asarray(h, dtype=complex)
+    a, b = h.real, h.imag
+    return np.block([[a, -b], [b, a]])
+
+
+def _unembed_hermitian(m, atol=1e-6):
+    """Invert :func:`_embed_real`, averaging the redundant blocks.
+
+    Raises if the input deviates from the embedding structure by more than
+    ``atol`` relative to its Frobenius norm.
+    """
+    m = np.asarray(m, dtype=float)
+    d = m.shape[0]
+    if d % 2 != 0:
+        raise ValueError("embedded matrix must have even dimension")
+    n = d // 2
+    m11, m12, m21, m22 = m[:n, :n], m[:n, n:], m[n:, :n], m[n:, n:]
+    scale = max(np.linalg.norm(m), 1e-300)
+    asym = np.sqrt(np.linalg.norm(m11 - m22) ** 2 + np.linalg.norm(m12 + m21) ** 2)
+    if asym > atol * scale:
+        raise ValueError(f"embedding asymmetry {asym / scale:.3e} exceeds {atol:.1e}")
+    a = 0.5 * (m11 + m22)
+    b = 0.5 * (m21 - m12)
+    a = 0.5 * (a + a.T)
+    b = 0.5 * (b - b.T)
+    return a + 1j * b
+
+
 def hermitian_coeff(h):
     """Real-embedded coefficient whose pairing with embed(X) equals Tr(hX)."""
-    e = 0.5 * embed_real(h)
+    e = 0.5 * _embed_real(h)
     return 0.5 * (e + e.T)  # exact symmetry despite ulp-level rounding upstream
+
+
+def recover_duals(report, vmap):
+    """Hermitian dual matrix of each DL beam block of a solver report.
+
+    Every coefficient carries the factor 1/2 of :func:`hermitian_coeff`, so
+    an embedded dual block is half the embedding of the Hermitian dual; the
+    factor 2 undoes it.
+    """
+    return [2.0 * _unembed_hermitian(report.psd_duals[b], atol=1e-4) for b in vmap.w_blocks]
 
 
 def _check_dims(chan, cfg, receivers):
@@ -280,11 +325,11 @@ def allocation_to_blocks(alloc, vmap):
     """Embed an allocation into the block layout of the built problem."""
     psd = [None] * (vmap.k_users + (1 if vmap.v_block is not None else 0))
     for k, b in enumerate(vmap.w_blocks):
-        psd[b] = embed_real(alloc.W[k])
+        psd[b] = _embed_real(alloc.W[k])
     orth = np.zeros(vmap.j_users + (1 if vmap.v_orthant_index is not None else 0))
     orth[: vmap.j_users] = alloc.P
     if vmap.v_block is not None:
-        psd[vmap.v_block] = embed_real(alloc.V)
+        psd[vmap.v_block] = _embed_real(alloc.V)
     elif vmap.v_orthant_index is not None:
         d = vmap.v_direction
         scale = float(np.trace(alloc.V).real)
@@ -296,99 +341,12 @@ def allocation_to_blocks(alloc, vmap):
 
 def recover_allocation(values, vmap, receivers, asym_tol=1e-6):
     """Rebuild Hermitian matrices and powers from solved block values."""
-    w_mats = tuple(unembed_hermitian(values.psd[b], atol=asym_tol) for b in vmap.w_blocks)
+    w_mats = tuple(_unembed_hermitian(values.psd[b], atol=asym_tol) for b in vmap.w_blocks)
     if vmap.v_block is not None:
-        v_mat = unembed_hermitian(values.psd[vmap.v_block], atol=asym_tol)
+        v_mat = _unembed_hermitian(values.psd[vmap.v_block], atol=asym_tol)
     elif vmap.v_orthant_index is not None:
         v_mat = float(values.orthant[vmap.v_orthant_index]) * vmap.v_direction
     else:
         v_mat = np.zeros((vmap.n, vmap.n), dtype=complex)
     p = np.array([max(float(values.orthant[i]), 0.0) for i in vmap.p_orthant])
     return Allocation(W=w_mats, V=v_mat, P=p, receivers=receivers)
-
-
-def problem_to_text(problem):
-    """Serialize as plain text: header, block sizes, then sparse triplets.
-
-    PSD entries are written once per upper-triangle position as
-    ``b <block> <i> <j> <value>`` (1-based); orthant entries as
-    ``o <index> <value>``. Constraints start with
-    ``constraint <sense> <constant> <label>`` and end at the next marker.
-    """
-    lines = ["conic-problem v1"]
-    lines.append("psd " + " ".join(str(d) for d in problem.psd_dims))
-    lines.append(f"orthant {problem.orthant_dim}")
-
-    def emit_entries(psd_coeffs, orth):
-        out = []
-        for b in sorted(psd_coeffs):
-            c = psd_coeffs[b]
-            for i in range(c.shape[0]):
-                for jj in range(i, c.shape[1]):
-                    if c[i, jj] != 0.0:
-                        out.append(f"b {b + 1} {i + 1} {jj + 1} {float(c[i, jj])!r}")
-        for idx in np.nonzero(orth)[0]:
-            out.append(f"o {idx + 1} {float(orth[idx])!r}")
-        return out
-
-    lines.append("objective")
-    lines += emit_entries(
-        dict(enumerate(problem.objective_psd)), problem.objective_orthant
-    )
-    for con in problem.constraints:
-        lines.append(f"constraint {con.sense} {float(con.constant)!r} {con.label}")
-        lines += emit_entries(con.psd_coeffs, con.orthant_coeffs)
-    lines.append("end")
-    return "\n".join(lines) + "\n"
-
-
-def problem_from_text(text):
-    """Invert :func:`problem_to_text`."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
-    if lines[0] != "conic-problem v1":
-        raise ValueError("unrecognized problem header")
-    psd_dims = tuple(int(x) for x in lines[1].split()[1:])
-    orthant_dim = int(lines[2].split()[1])
-
-    sections = []  # (kind, sense, constant, label, entries)
-    current = None
-    for ln in lines[3:]:
-        if ln == "end":
-            break
-        if ln == "objective":
-            current = ("objective", None, None, None, [])
-            sections.append(current)
-        elif ln.startswith("constraint "):
-            _, sense, constant, label = ln.split(maxsplit=3)
-            current = ("constraint", sense, float(constant), label, [])
-            sections.append(current)
-        else:
-            current[4].append(ln)
-
-    def parse_entries(entries):
-        psd = {}
-        orth = np.zeros(orthant_dim)
-        for ln in entries:
-            parts = ln.split()
-            if parts[0] == "b":
-                b, i, jj, val = int(parts[1]) - 1, int(parts[2]) - 1, int(parts[3]) - 1, float(parts[4])
-                mat = psd.setdefault(b, np.zeros((psd_dims[b], psd_dims[b])))
-                mat[i, jj] = val
-                mat[jj, i] = val
-            else:
-                orth[int(parts[1]) - 1] = float(parts[2])
-        return psd, orth
-
-    obj_psd_map, obj_orth = parse_entries(sections[0][4])
-    obj_psd = tuple(obj_psd_map.get(b, np.zeros((d, d))) for b, d in enumerate(psd_dims))
-    constraints = []
-    for kind, sense, constant, label, entries in sections[1:]:
-        psd, orth = parse_entries(entries)
-        constraints.append(LinearConstraint(
-            psd_coeffs=psd, orthant_coeffs=orth, constant=constant, sense=sense, label=label,
-        ))
-    return ConicProblem(
-        psd_dims=psd_dims, orthant_dim=orthant_dim,
-        objective_psd=obj_psd, objective_orthant=obj_orth,
-        constraints=tuple(constraints),
-    ).validate()

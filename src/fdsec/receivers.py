@@ -28,9 +28,6 @@ class ReceiverSet:
     def count(self):
         return self.r.shape[0]
 
-    def norms_sq(self):
-        return np.sum(np.abs(self.r) ** 2, axis=1)
-
 
 def zf_receivers(g):
     """Zero-forcing receivers for UL channel rows ``g`` ((J, N) or a list).

@@ -8,14 +8,16 @@ block columns, and normalizes every constraint row to unit infinity-norm;
 all reported quantities are unscaled back to the original data.
 """
 
+import logging
 import time
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .problem import BlockValues
+from .problem import BlockValues, ConicProblem, LinearConstraint
+
+logger = logging.getLogger(__name__)
 
 _FTB = 0.99          # fraction-to-boundary step factor
 _MAX_HALVINGS = 12   # step fallback on factorization failure
@@ -28,7 +30,6 @@ class SolverOptions:
     max_iters: int = 200
     infeasibility_threshold: float = 1e-8
     mu_tol_factor: float = 1.0     # extra tightening of final complementarity
-    log_stream: Optional[object] = None
 
     def __post_init__(self):
         if min(self.abs_tol, self.rel_tol, self.infeasibility_threshold) <= 0:
@@ -56,7 +57,8 @@ class SolverReport:
     primal_obj: float
     dual_obj: float
     residuals: Residuals
-    iterations: int
+    iterations: int              # main-loop iterations
+    phase1_iterations: int = 0   # iterations of the phase-1 solve, 0 when it did not run
     iter_log: tuple = field(default=())
     solve_time: float = 0.0
 
@@ -351,13 +353,108 @@ def _interior(sf, u, z):
     return True
 
 
+def _newton_step(sf, u, y, z, r_p, r_d, mu):
+    """One Mehrotra predictor-corrector step from an interior iterate.
+
+    Returns the next iterate and its step lengths (u, y, z, alpha_x,
+    alpha_z). Raises numpy.linalg.LinAlgError when the scaling point, the
+    Schur complement or the fallback step back into the cone breaks down.
+    """
+    a = sf.a_full
+    mk = len(sf.kept)
+    scal = _Scaling(sf, u, z)
+    atil = _scaled_rows(sf, scal)
+    schur = atil @ atil.T
+    if not np.all(np.isfinite(schur)):
+        raise np.linalg.LinAlgError("Schur complement is not finite")
+    reg = 1e-14 * (1.0 + np.trace(schur) / mk)
+    for _ in range(4):
+        try:
+            factor = cho_factor(schur + reg * np.eye(mk), lower=True)
+            break
+        except (np.linalg.LinAlgError, ValueError):
+            reg *= 1e3
+    else:
+        raise np.linalg.LinAlgError("regularized Schur complement is not positive definite")
+
+    rd_scaled = _scale_dual_vec(sf, scal, r_d)
+
+    def direction(d_target):
+        rhs = r_p - atil @ (d_target - rd_scaled)
+        dy = cho_solve(factor, rhs)
+        for _ in range(4):  # refinement against the unregularized system
+            resid = rhs - schur @ dy
+            if np.abs(resid).max() <= 1e-15 * max(1.0, np.abs(rhs).max()):
+                break
+            dy = dy + cho_solve(factor, resid)
+        dz = r_d - a.T @ dy
+        dz_scaled = _scale_dual_vec(sf, scal, dz)
+        dx_scaled = d_target - dz_scaled
+        dx = np.empty(sf.n_total)
+        for blk, meta in enumerate(sf.metas):
+            d = sf.psd_dims[blk]
+            s = sf.block_starts[blk]
+            g = scal.g[blk]
+            mdx = _smat(dx_scaled[s:s + sf.sv_lens[blk]], meta, d)
+            dx[s:s + sf.sv_lens[blk]] = _svec(g @ mdx @ g.T, meta)
+        dx[sf.n_sv:] = scal.w_orth * dx_scaled[sf.n_sv:]
+        return dx, dy, dz, dx_scaled, dz_scaled
+
+    # predictor: drive complementarity to zero
+    d_aff = np.empty(sf.n_total)
+    for blk, meta in enumerate(sf.metas):
+        s = sf.block_starts[blk]
+        d_aff[s:s + sf.sv_lens[blk]] = _svec(np.diag(-scal.lam[blk]), meta)
+    d_aff[sf.n_sv:] = -scal.lam_orth
+    dx_a, dy_a, dz_a, dxs_a, dzs_a = direction(d_aff)
+    alpha_xa = min(1.0, _step_to_boundary(sf, scal, dxs_a))
+    alpha_za = min(1.0, _step_to_boundary(sf, scal, dzs_a))
+    mu_aff = float((u + alpha_xa * dx_a) @ (z + alpha_za * dz_a)) / sf.cone_degree
+    sigma = min(1.0, max(1e-10, (max(mu_aff, 0.0) / mu) ** 3))
+
+    # corrector: recentre and take out the second-order term
+    d_comb = np.empty(sf.n_total)
+    for blk, meta in enumerate(sf.metas):
+        d = sf.psd_dims[blk]
+        s = sf.block_starts[blk]
+        lam = scal.lam[blk]
+        u_mat = _smat(dxs_a[s:s + sf.sv_lens[blk]], meta, d)
+        v_mat = _smat(dzs_a[s:s + sf.sv_lens[blk]], meta, d)
+        cross = 0.5 * (u_mat @ v_mat + v_mat @ u_mat)
+        r_mat = sigma * mu * np.eye(d) - np.diag(lam ** 2) - cross
+        d_mat = 2.0 * r_mat / np.add.outer(lam, lam)
+        d_comb[s:s + sf.sv_lens[blk]] = _svec(d_mat, meta)
+    lam_o = scal.lam_orth
+    d_comb[sf.n_sv:] = (sigma * mu - lam_o ** 2 - dxs_a[sf.n_sv:] * dzs_a[sf.n_sv:]) / lam_o
+
+    dx, dy, dz, dxs, dzs = direction(d_comb)
+    alpha_x = min(1.0, _FTB * _step_to_boundary(sf, scal, dxs))
+    alpha_z = min(1.0, _FTB * _step_to_boundary(sf, scal, dzs))
+
+    # fallback halving keeps the trial iterate strictly interior
+    for _ in range(_MAX_HALVINGS):
+        u_new = u + alpha_x * dx
+        z_new = z + alpha_z * dz
+        if _interior(sf, u_new, z_new):
+            return (sf.project_structured(u_new), y + alpha_z * dy,
+                    sf.project_structured(z_new), alpha_x, alpha_z)
+        alpha_x *= 0.5
+        alpha_z *= 0.5
+    raise np.linalg.LinAlgError("no step keeps the iterate inside the cone")
+
+
 def solve(problem, opts=None, _allow_phase1=True):
-    """Solve a conic problem to optimality or produce an infeasibility verdict."""
+    """Solve a conic problem to optimality or produce an infeasibility verdict.
+
+    An IPM ``primal_infeasible`` verdict carries a Farkas ray in
+    ``multipliers``: the diverging dual iterate, or the multipliers of the
+    phase-1 solve when that decides the verdict.
+    """
     t0 = time.perf_counter()
     opts = opts or SolverOptions()
     sf = _StandardForm(problem)
 
-    def report(status, u, y, z, res, iters, log):
+    def report(status, u, y, z, res, iters, log, phase1_iters=0):
         x_orig = sf.unscale_primal(u)
         y_orig, z_orig = sf.unscale_dual(y, z)
         psd_vals = tuple(
@@ -382,6 +479,7 @@ def solve(problem, opts=None, _allow_phase1=True):
             dual_obj=dobj,
             residuals=res,
             iterations=iters,
+            phase1_iterations=phase1_iters,
             iter_log=tuple(log),
             solve_time=time.perf_counter() - t0,
         )
@@ -436,197 +534,85 @@ def solve(problem, opts=None, _allow_phase1=True):
     norm_c = 1.0 + np.abs(c).max(initial=0.0)
 
     it = 0
-    for it in range(1, opts.max_iters + 1):
-        if not (np.all(np.isfinite(u)) and np.all(np.isfinite(y)) and np.all(np.isfinite(z))):
-            status = "numerical_failure"
-            break
-        r_p = b - a @ u
-        r_d = c - a.T @ y - z
-        mu = float(u @ z) / sf.cone_degree
-        pobj_s = float(c @ u)
-        dobj_s = float(b @ y)
+    try:
+        for it in range(1, opts.max_iters + 1):
+            if not (np.all(np.isfinite(u)) and np.all(np.isfinite(y)) and np.all(np.isfinite(z))):
+                raise np.linalg.LinAlgError("iterate is not finite")
+            r_p = b - a @ u
+            r_d = c - a.T @ y - z
+            mu = float(u @ z) / sf.cone_degree
+            pobj_s = float(c @ u)
+            dobj_s = float(b @ y)
 
-        # original-space residuals and objectives
-        x_orig = sf.unscale_primal(u)
-        y_orig, z_orig = sf.unscale_dual(y, z)
-        pobj = float(sf.c_orig @ x_orig)
-        dobj = _dual_objective(sf, y_orig)
-        relp_o, reld_o = _original_residuals(sf, x_orig, y_orig, z_orig)
-        relp = max(float(np.abs(r_p).max(initial=0.0)) / norm_b, relp_o)
-        reld = max(float(np.abs(r_d).max(initial=0.0)) / norm_c, reld_o)
-        gap_abs = abs(pobj - dobj)
-        # gap and complementarity are tested in scaled space, where the
-        # equilibration makes optimal values O(1) and the test truly relative
-        obj_scale_s = max(abs(pobj_s), abs(dobj_s), 1e-300)
-        relgap_s = abs(pobj_s - dobj_s) / max(obj_scale_s, opts.abs_tol / opts.rel_tol)
-        mu_rel = mu / max(obj_scale_s, opts.abs_tol / opts.rel_tol)
-        mu_target = opts.rel_tol * opts.mu_tol_factor
-        gap_ok = relgap_s <= opts.rel_tol
-        mu_ok = mu_rel <= mu_target
+            # original-space residuals and objectives
+            x_orig = sf.unscale_primal(u)
+            y_orig, z_orig = sf.unscale_dual(y, z)
+            pobj = float(sf.c_orig @ x_orig)
+            dobj = _dual_objective(sf, y_orig)
+            relp_o, reld_o = _original_residuals(sf, x_orig, y_orig, z_orig)
+            relp = max(float(np.abs(r_p).max(initial=0.0)) / norm_b, relp_o)
+            reld = max(float(np.abs(r_d).max(initial=0.0)) / norm_c, reld_o)
+            gap_abs = abs(pobj - dobj)
+            # gap and complementarity are tested in scaled space, where the
+            # equilibration makes optimal values O(1) and the test truly relative
+            obj_scale_s = max(abs(pobj_s), abs(dobj_s), 1e-300)
+            relgap_s = abs(pobj_s - dobj_s) / max(obj_scale_s, opts.abs_tol / opts.rel_tol)
+            mu_rel = mu / max(obj_scale_s, opts.abs_tol / opts.rel_tol)
+            mu_target = opts.rel_tol * opts.mu_tol_factor
+            gap_ok = relgap_s <= opts.rel_tol
+            mu_ok = mu_rel <= mu_target
 
-        merit = max(relp, reld, relgap_s, mu_rel * opts.rel_tol / mu_target)
-        if best is None or merit < best[0]:
-            # the duality-gap floor is dominated by ||y||*||r_p|| rounding, a
-            # pessimistic bound on objective accuracy; a stalled iterate that
-            # is feasible and deeply complementary is still accepted
-            relaxed = (
-                relp <= opts.rel_tol and reld <= opts.rel_tol
-                and relgap_s <= 500 * opts.rel_tol and mu_rel <= 50 * mu_target
-            )
-            best = (
-                merit, u.copy(), y.copy(), z.copy(),
-                Residuals(primal=relp, dual=reld, gap=gap_abs / (1.0 + abs(pobj))),
-                relaxed,
-            )
+            merit = max(relp, reld, relgap_s, mu_rel * opts.rel_tol / mu_target)
+            if best is None or merit < best[0]:
+                # the duality-gap floor is dominated by ||y||*||r_p|| rounding, a
+                # pessimistic bound on objective accuracy; a stalled iterate that
+                # is feasible and deeply complementary is still accepted
+                relaxed = (
+                    relp <= opts.rel_tol and reld <= opts.rel_tol
+                    and relgap_s <= 500 * opts.rel_tol and mu_rel <= 50 * mu_target
+                )
+                best = (
+                    merit, u.copy(), y.copy(), z.copy(),
+                    Residuals(primal=relp, dual=reld, gap=gap_abs / (1.0 + abs(pobj))),
+                    relaxed,
+                )
 
-        entry = {
-            "iteration": it - 1, "primal_obj": pobj, "dual_obj": dobj, "gap": gap_abs,
-            "mu": mu, "primal_res": relp, "dual_res": reld, "alpha_p": 0.0, "alpha_d": 0.0,
-        }
+            log.append({
+                "iteration": it - 1, "primal_obj": pobj, "dual_obj": dobj, "gap": gap_abs,
+                "mu": mu, "primal_res": relp, "dual_res": reld, "alpha_p": 0.0, "alpha_d": 0.0,
+            })
 
-        if relp <= opts.rel_tol and reld <= opts.rel_tol and gap_ok and mu_ok:
-            status = "optimal"
-            res = Residuals(primal=relp, dual=reld, gap=gap_abs / (1.0 + abs(pobj)))
-            log.append(entry)
-            break
-
-        # infeasibility certificates from the diverging iterates
-        by = dobj_s
-        if by > 0.0:
-            ray_res = float(np.abs(a.T @ y + z).max()) / by
-            if ray_res <= opts.infeasibility_threshold * max(1.0, np.abs(c).max()):
-                status = "primal_infeasible"
-                res = Residuals(primal=relp, dual=reld, gap=np.inf)
-                log.append(entry)
-                break
-        cx = pobj_s
-        if cx < 0.0:
-            ray_res = float(np.abs(a @ u).max()) / -cx
-            if ray_res <= opts.infeasibility_threshold * max(1.0, np.abs(b).max()):
-                status = "dual_infeasible"
-                res = Residuals(primal=relp, dual=reld, gap=np.inf)
-                log.append(entry)
-                break
-
-        try:
-            scal = _Scaling(sf, u, z)
-        except np.linalg.LinAlgError:
-            status = "numerical_failure"
-            res = Residuals(primal=relp, dual=reld, gap=gap_abs / (1.0 + abs(pobj)))
-            log.append(entry)
-            break
-
-        atil = _scaled_rows(sf, scal)
-        schur = atil @ atil.T
-        if not np.all(np.isfinite(schur)):
-            status = "numerical_failure"
-            res = Residuals(primal=relp, dual=reld, gap=gap_abs / (1.0 + abs(pobj)))
-            log.append(entry)
-            break
-        reg = 1e-14 * (1.0 + np.trace(schur) / mk)
-        factor = None
-        for _ in range(4):
-            try:
-                factor = cho_factor(schur + reg * np.eye(mk), lower=True)
-                break
-            except (np.linalg.LinAlgError, ValueError):
-                reg *= 1e3
-        if factor is None:
-            status = "numerical_failure"
-            res = Residuals(primal=relp, dual=reld, gap=gap_abs / (1.0 + abs(pobj)))
-            log.append(entry)
-            break
-
-        rd_scaled = _scale_dual_vec(sf, scal, r_d)
-
-        def direction(d_target):
-            rhs = r_p - atil @ (d_target - rd_scaled)
-            dy = cho_solve(factor, rhs)
-            for _ in range(4):  # refinement against the unregularized system
-                resid = rhs - schur @ dy
-                if np.abs(resid).max() <= 1e-15 * max(1.0, np.abs(rhs).max()):
-                    break
-                dy = dy + cho_solve(factor, resid)
-            dz = r_d - a.T @ dy
-            dz_scaled = _scale_dual_vec(sf, scal, dz)
-            dx_scaled = d_target - dz_scaled
-            dx = np.empty(sf.n_total)
-            for blk, meta in enumerate(sf.metas):
-                d = sf.psd_dims[blk]
-                s = sf.block_starts[blk]
-                g = scal.g[blk]
-                mdx = _smat(dx_scaled[s:s + sf.sv_lens[blk]], meta, d)
-                dx[s:s + sf.sv_lens[blk]] = _svec(g @ mdx @ g.T, meta)
-            dx[sf.n_sv:] = scal.w_orth * dx_scaled[sf.n_sv:]
-            return dx, dy, dz, dx_scaled, dz_scaled
-
-        # predictor: drive complementarity to zero
-        d_aff = np.empty(sf.n_total)
-        for blk, meta in enumerate(sf.metas):
-            s = sf.block_starts[blk]
-            d_aff[s:s + sf.sv_lens[blk]] = _svec(np.diag(-scal.lam[blk]), meta)
-        d_aff[sf.n_sv:] = -scal.lam_orth
-        dx_a, dy_a, dz_a, dxs_a, dzs_a = direction(d_aff)
-        alpha_xa = min(1.0, _step_to_boundary(sf, scal, dxs_a))
-        alpha_za = min(1.0, _step_to_boundary(sf, scal, dzs_a))
-        mu_aff = float((u + alpha_xa * dx_a) @ (z + alpha_za * dz_a)) / sf.cone_degree
-        sigma = min(1.0, max(1e-10, (max(mu_aff, 0.0) / mu) ** 3))
-
-        # corrector: recentre and take out the second-order term
-        d_comb = np.empty(sf.n_total)
-        for blk, meta in enumerate(sf.metas):
-            d = sf.psd_dims[blk]
-            s = sf.block_starts[blk]
-            lam = scal.lam[blk]
-            u_mat = _smat(dxs_a[s:s + sf.sv_lens[blk]], meta, d)
-            v_mat = _smat(dzs_a[s:s + sf.sv_lens[blk]], meta, d)
-            cross = 0.5 * (u_mat @ v_mat + v_mat @ u_mat)
-            r_mat = sigma * mu * np.eye(d) - np.diag(lam ** 2) - cross
-            d_mat = 2.0 * r_mat / np.add.outer(lam, lam)
-            d_comb[s:s + sf.sv_lens[blk]] = _svec(d_mat, meta)
-        lam_o = scal.lam_orth
-        d_comb[sf.n_sv:] = (sigma * mu - lam_o ** 2 - dxs_a[sf.n_sv:] * dzs_a[sf.n_sv:]) / lam_o
-
-        dx, dy, dz, dxs, dzs = direction(d_comb)
-        alpha_x = min(1.0, _FTB * _step_to_boundary(sf, scal, dxs))
-        alpha_z = min(1.0, _FTB * _step_to_boundary(sf, scal, dzs))
-
-        # fallback halving keeps the trial iterate strictly interior
-        ok = False
-        for _ in range(_MAX_HALVINGS):
-            u_new = u + alpha_x * dx
-            z_new = z + alpha_z * dz
-            if _interior(sf, u_new, z_new):
-                ok = True
-                break
-            alpha_x *= 0.5
-            alpha_z *= 0.5
-        if not ok:
-            status = "numerical_failure"
-            res = Residuals(primal=relp, dual=reld, gap=gap_abs / (1.0 + abs(pobj)))
-            log.append(entry)
-            break
-        u = sf.project_structured(u_new)
-        y = y + alpha_z * dy
-        z = sf.project_structured(z_new)
-
-        entry["alpha_p"] = alpha_x
-        entry["alpha_d"] = alpha_z
-        log.append(entry)
-        if opts.log_stream is not None:
-            opts.log_stream.write(
-                f"iter {it:3d}  pobj {pobj: .9e}  dobj {dobj: .9e}  gap {gap_abs:.3e}"
-                f"  mu {mu:.3e}  step {alpha_x:.3f}/{alpha_z:.3f}\n"
-            )
-
-        if max(alpha_x, alpha_z) < 1e-4:
-            stall += 1
-            if stall >= 4:
-                status = "numerical_failure"
+            if relp <= opts.rel_tol and reld <= opts.rel_tol and gap_ok and mu_ok:
+                status = "optimal"
                 res = Residuals(primal=relp, dual=reld, gap=gap_abs / (1.0 + abs(pobj)))
                 break
-        else:
-            stall = 0
+
+            # infeasibility certificates from the diverging iterates
+            if dobj_s > 0.0:
+                ray_res = float(np.abs(a.T @ y + z).max()) / dobj_s
+                if ray_res <= opts.infeasibility_threshold * max(1.0, np.abs(c).max()):
+                    status = "primal_infeasible"
+                    res = Residuals(primal=relp, dual=reld, gap=np.inf)
+                    break
+            if pobj_s < 0.0:
+                ray_res = float(np.abs(a @ u).max()) / -pobj_s
+                if ray_res <= opts.infeasibility_threshold * max(1.0, np.abs(b).max()):
+                    status = "dual_infeasible"
+                    res = Residuals(primal=relp, dual=reld, gap=np.inf)
+                    break
+
+            u, y, z, alpha_x, alpha_z = _newton_step(sf, u, y, z, r_p, r_d, mu)
+            log[-1]["alpha_p"] = alpha_x
+            log[-1]["alpha_d"] = alpha_z
+            logger.debug("iter %3d  pobj % .9e  dobj % .9e  gap %.3e  mu %.3e  step %.3f/%.3f",
+                         it, pobj, dobj, gap_abs, mu, alpha_x, alpha_z)
+            stall = stall + 1 if max(alpha_x, alpha_z) < 1e-4 else 0
+            if stall >= 4:
+                raise np.linalg.LinAlgError("step lengths stalled")
+    except np.linalg.LinAlgError:
+        status = "numerical_failure"
+
+    phase1_iters = 0
     if status in ("max_iters", "numerical_failure") and best is not None:
         # fall back to the best iterate seen; accept it when it already meets
         # the feasibility tolerances and a mildly relaxed gap
@@ -635,22 +621,27 @@ def solve(problem, opts=None, _allow_phase1=True):
             status = "optimal"
         elif _allow_phase1 and res.primal > opts.rel_tol:
             # unresolved and not primal-feasible: settle feasibility directly
-            violation = _phase1_violation(sf, opts)
-            if violation is not None and violation > 1e-6:
+            p1 = _phase1(sf, opts)
+            phase1_iters = p1.iterations
+            if p1.status == "optimal" and p1.primal_obj > 1e-6:
+                # its multipliers are a Farkas ray of the equilibrated rows,
+                # and -A'y is that ray's dual slack
                 status = "primal_infeasible"
+                y = p1.multipliers
+                z = -a.T @ y
                 res = Residuals(primal=res.primal, dual=res.dual, gap=np.inf)
-    return report(status, u, y, z, res, it, log)
+    return report(status, u, y, z, res, it, log, phase1_iters)
 
 
-def _phase1_violation(sf, opts):
-    """Minimum uniform slack making the (equilibrated) rows feasible.
+def _phase1(sf, opts):
+    """Solve the phase-1 program of the (equilibrated) rows.
 
-    Solves min t s.t. A x + t >= b over the same cone; the optimum is the
-    scaled infeasibility measure (zero iff the problem is feasible) and the
-    phase-1 program itself is always feasible and bounded.
+    min t s.t. A x + t >= b over the same cone: the optimum is the scaled
+    infeasibility measure (zero iff the problem is feasible), and the
+    phase-1 program itself is always feasible and bounded. By LP duality
+    its multipliers y >= 0 satisfy -A'y in the cone and b'y = t, so with
+    t > 0 they prove the rows infeasible.
     """
-    from .problem import ConicProblem, LinearConstraint  # local to avoid cycles
-
     mk = len(sf.kept)
     n_orth = sf.n_orth_vars + 1
     cons = []
@@ -679,10 +670,7 @@ def _phase1_violation(sf, opts):
         abs_tol=max(opts.abs_tol, 1e-9), rel_tol=max(opts.rel_tol, 1e-7),
         max_iters=opts.max_iters, infeasibility_threshold=opts.infeasibility_threshold,
     )
-    rep = solve(phase1, p1_opts, _allow_phase1=False)
-    if rep.status != "optimal":
-        return None
-    return max(rep.primal_obj, 0.0)
+    return solve(phase1, p1_opts, _allow_phase1=False)
 
 
 def _orig_b(sf):

@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 
@@ -9,8 +7,6 @@ from fdsec.channel import (
     db2lin,
     dbm2watt,
     drop_geometry,
-    dump_channels,
-    load_channels,
     noise_powers,
     path_loss_db,
     realize,
@@ -159,16 +155,3 @@ class TestChannels:
                 h=chan.h, g=chan.g, l=chan.l, f=chan.f, t=chan.t, h_si=chan.h_si,
                 sigma2_dl=np.array([0.0]), sigma2_bs=chan.sigma2_bs, sigma2_eve=chan.sigma2_eve,
             )
-
-
-class TestDump:
-    def test_round_trip(self):
-        _, chan = realize(SystemConfig(n_antennas=4, n_dl=2, n_ul=2, n_idle=2), 11)
-        buf = io.StringIO()
-        dump_channels(chan, buf)
-        buf.seek(0)
-        back = load_channels(buf)
-        for name in ("h", "g", "l", "f", "t", "h_si"):
-            assert np.array_equal(getattr(chan, name), getattr(back, name))
-        assert np.array_equal(chan.sigma2_dl, back.sigma2_dl)
-        assert chan.sigma2_bs == back.sigma2_bs

@@ -1,13 +1,7 @@
 import numpy as np
 import pytest
 
-from fdsec.linalg import (
-    embed_real,
-    eigvals_herm,
-    herm_eig,
-    pseudoinverse_full_col_rank,
-    unembed_hermitian,
-)
+from fdsec.linalg import herm_eig, pseudoinverse_full_col_rank
 
 
 def random_hermitian(rng, n):
@@ -104,43 +98,3 @@ class TestPseudoinverse:
     def test_wide_matrix_raises(self):
         with pytest.raises(np.linalg.LinAlgError):
             pseudoinverse_full_col_rank(np.ones((2, 3), dtype=complex))
-
-
-class TestEmbedding:
-    def test_real_matrix_block_copy(self):
-        h = np.array([[2.0, 1.0], [1.0, 3.0]])
-        e = embed_real(h)
-        assert np.allclose(e[:2, :2], h)
-        assert np.allclose(e[2:, 2:], h)
-        assert np.allclose(e[:2, 2:], 0)
-
-    def test_eigenvalue_doubling(self):
-        h = np.array([[0.0, -1j], [1j, 0.0]])
-        w_h = eigvals_herm(h)
-        w_e = np.sort(np.linalg.eigvalsh(embed_real(h)))[::-1]
-        assert np.allclose(w_e, np.repeat(w_h, 2), atol=1e-12)
-
-    def test_psd_preserved(self):
-        rng = np.random.default_rng(6)
-        m = random_complex(rng, 4, 4)
-        h = m @ m.conj().T
-        assert np.linalg.eigvalsh(embed_real(h)).min() >= -1e-12
-
-    def test_linear_and_trace_doubling(self):
-        rng = np.random.default_rng(7)
-        h1 = random_hermitian(rng, 5)
-        h2 = random_hermitian(rng, 5)
-        alpha = 1.7
-        assert np.allclose(embed_real(alpha * h1 + h2), alpha * embed_real(h1) + embed_real(h2))
-        assert np.trace(embed_real(h1)) == pytest.approx(2 * np.trace(h1).real)
-
-    def test_unembed_round_trip(self):
-        rng = np.random.default_rng(8)
-        h = random_hermitian(rng, 4)
-        assert np.abs(unembed_hermitian(embed_real(h)) - h).max() <= 1e-14
-
-    def test_unembed_rejects_asymmetry(self):
-        bad = np.eye(4)
-        bad[0, 0] = 2.0  # breaks the duplicated-block structure
-        with pytest.raises(ValueError):
-            unembed_hermitian(bad)

@@ -1,25 +1,34 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from fdsec.channel import SystemConfig, realize
-from fdsec.linalg import embed_real
+from fdsec.linalg import eigvals_herm
 from fdsec.metrics import Allocation, constraint_margins, objective
 from fdsec.problem import (
     BlockValues,
+    _embed_real,
+    _unembed_hermitian,
     allocation_to_blocks,
     an_direction,
     build_baseline_problem,
     build_hd_problem,
     build_optimal_problem,
-    problem_from_text,
-    problem_to_text,
+    hermitian_coeff,
     recover_allocation,
+    recover_duals,
 )
 from fdsec.receivers import zf_receivers
 
 
 def random_complex(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def random_hermitian(rng, n):
+    m = random_complex(rng, n, n)
+    return 0.5 * (m + m.conj().T)
 
 
 def random_rank_one_alloc(rng, cfg, receivers, scale=1e-3):
@@ -195,27 +204,55 @@ class TestRecovery:
             recover_allocation(values, vmap, rec)
 
 
-class TestSerialization:
-    def test_round_trip(self):
-        cfg = SystemConfig(n_antennas=4, n_dl=2, n_ul=1, n_idle=2)
-        chan, rec = scenario(cfg, 10)
-        prob, _ = build_optimal_problem(chan, cfg, rec)
-        text = problem_to_text(prob)
-        back = problem_from_text(text)
-        assert back.psd_dims == prob.psd_dims
-        assert back.orthant_dim == prob.orthant_dim
-        assert len(back.constraints) == len(prob.constraints)
-        for ca, cb in zip(prob.constraints, back.constraints):
-            assert ca.sense == cb.sense and ca.label == cb.label
-            assert ca.constant == cb.constant
-            assert set(ca.psd_coeffs) == set(cb.psd_coeffs)
-            for blk in ca.psd_coeffs:
-                assert np.array_equal(ca.psd_coeffs[blk], cb.psd_coeffs[blk])
-            assert np.array_equal(ca.orthant_coeffs, cb.orthant_coeffs)
-        # functional equality on a random point
-        rng = np.random.default_rng(0)
-        values = BlockValues(
-            psd=tuple(np.eye(d) * 0.3 for d in prob.psd_dims),
-            orthant=rng.uniform(size=prob.orthant_dim),
-        )
-        assert np.allclose(prob.slacks(values), back.slacks(values), rtol=0, atol=0)
+class TestEmbedding:
+    def test_real_matrix_block_copy(self):
+        h = np.array([[2.0, 1.0], [1.0, 3.0]])
+        e = _embed_real(h)
+        assert np.allclose(e[:2, :2], h)
+        assert np.allclose(e[2:, 2:], h)
+        assert np.allclose(e[:2, 2:], 0)
+
+    def test_eigenvalue_doubling(self):
+        h = np.array([[0.0, -1j], [1j, 0.0]])
+        w_h = eigvals_herm(h)
+        w_e = np.sort(np.linalg.eigvalsh(_embed_real(h)))[::-1]
+        assert np.allclose(w_e, np.repeat(w_h, 2), atol=1e-12)
+
+    def test_psd_preserved(self):
+        rng = np.random.default_rng(6)
+        m = random_complex(rng, 4, 4)
+        h = m @ m.conj().T
+        assert np.linalg.eigvalsh(_embed_real(h)).min() >= -1e-12
+
+    def test_linear_and_trace_doubling(self):
+        rng = np.random.default_rng(7)
+        h1 = random_hermitian(rng, 5)
+        h2 = random_hermitian(rng, 5)
+        alpha = 1.7
+        assert np.allclose(_embed_real(alpha * h1 + h2), alpha * _embed_real(h1) + _embed_real(h2))
+        assert np.trace(_embed_real(h1)) == pytest.approx(2 * np.trace(h1).real)
+
+    def test_unembed_round_trip(self):
+        rng = np.random.default_rng(8)
+        h = random_hermitian(rng, 4)
+        assert np.abs(_unembed_hermitian(_embed_real(h)) - h).max() <= 1e-14
+
+    def test_unembed_rejects_asymmetry(self):
+        bad = np.eye(4)
+        bad[0, 0] = 2.0  # breaks the duplicated-block structure
+        with pytest.raises(ValueError):
+            _unembed_hermitian(bad)
+
+    def test_recover_duals_undoes_the_coefficient_factor(self):
+        # a dual block built like the coefficients comes back as its Hermitian matrix
+        cfg = SystemConfig(n_antennas=4, n_dl=2, n_ul=1, n_idle=1)
+        chan, rec = scenario(cfg, 3)
+        _, vmap = build_optimal_problem(chan, cfg, rec)
+        rng = np.random.default_rng(9)
+        ys = [random_hermitian(rng, 4) for _ in vmap.w_blocks]
+        duals = [None] * (len(vmap.w_blocks) + 1)
+        for b, y in zip(vmap.w_blocks, ys):
+            duals[b] = hermitian_coeff(y)
+        report = SimpleNamespace(psd_duals=tuple(duals))
+        for got, y in zip(recover_duals(report, vmap), ys):
+            assert np.abs(got - y).max() <= 1e-14

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 from oracles import enumerate_lp_optimum, lp_problem, random_diagonal_instance
@@ -156,15 +158,47 @@ class TestSolverProperties:
         for dual in rep.psd_duals:
             assert np.linalg.eigvalsh(dual)[0] >= -1e-9 * (1.0 + np.abs(dual).max())
 
-    def test_iteration_log_stream(self):
-        import io
-
+    def test_iteration_log_stream(self, caplog):
         prob = self.build_paper_like(5)
-        stream = io.StringIO()
-        rep = solve(prob, SolverOptions(log_stream=stream))
+        with caplog.at_level(logging.DEBUG, logger="fdsec.solver"):
+            rep = solve(prob)
         assert rep.status == "optimal"
-        text = stream.getvalue()
-        assert "pobj" in text and len(text.splitlines()) >= rep.iterations - 1
+        lines = [r.getMessage() for r in caplog.records if r.name == "fdsec.solver"]
+        assert all("pobj" in line for line in lines)
+        assert len(lines) >= rep.iterations - 1
+
+
+class TestInfeasibilityRay:
+    def test_phase1_verdict_carries_a_farkas_ray(self):
+        # the no-AN probe of the paper scenario, seed 0: the main loop stalls
+        # and phase-1 decides the verdict
+        from fdsec.channel import SystemConfig, realize
+        from fdsec.problem import build_hd_problem
+        from fdsec.receivers import zf_receivers
+
+        cfg = SystemConfig()
+        _, chan = realize(cfg, 0)
+        prob, _ = build_hd_problem(chan, cfg, zf_receivers(chan.g))
+        rep = solve(prob, SolverOptions(mu_tol_factor=1e-3))
+        assert rep.status == "primal_infeasible"
+        assert rep.phase1_iterations > 0
+        y = rep.multipliers
+        assert y.shape == (len(prob.constraints),) and np.all(y >= 0.0)
+        # in >= orientation: sum s_i y_i A_i must be NSD on every PSD block and
+        # nonpositive on the orthant, while sum s_i y_i b_i is positive
+        sy = y * np.array([1.0 if con.sense == ">=" else -1.0 for con in prob.constraints])
+        for blk, dim in enumerate(prob.psd_dims):
+            acc = np.zeros((dim, dim))
+            magnitude = 0.0
+            for yi, con in zip(sy, prob.constraints):
+                coeff = con.psd_coeffs.get(blk)
+                if coeff is not None:
+                    acc += yi * coeff
+                    magnitude += abs(yi) * np.linalg.norm(coeff, 2)
+            assert np.linalg.eigvalsh(acc)[-1] <= 1e-9 * magnitude
+        coeffs = np.array([con.orthant_coeffs for con in prob.constraints])
+        assert np.all(sy @ coeffs <= 1e-9 * (np.abs(y) @ np.abs(coeffs)))
+        assert sy @ np.array([con.constant for con in prob.constraints]) > 0.0
 
 
 class TestKktResiduals:
