@@ -298,10 +298,15 @@ def build_optimal_problem(chan, cfg, receivers):
 
 
 def an_direction(chan, scheme, n):
-    """Unit-trace AN covariance direction used by the baseline schemes."""
+    """Unit-trace AN covariance direction used by the baseline schemes.
+
+    baseline1 beams the noise at the idle users' subspace. With no idle
+    user no constraint rewards AN, so its power optimises to zero along any
+    direction; baseline1 then uses the isotropic one.
+    """
     if scheme == "baseline1":
         if chan.l.shape[0] == 0:
-            raise ValueError("baseline1 needs at least one idle user")
+            return np.eye(n, dtype=complex) / n
         stack = chan.l.T  # columns l_1..l_M
         d = stack @ stack.conj().T
         return d / float(np.trace(d).real)

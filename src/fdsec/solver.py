@@ -6,6 +6,12 @@ infeasible-start path-following method with Nesterov-Todd scaling and a
 Mehrotra predictor-corrector step. Presolve drops empty rows, equilibrates
 block columns, and normalizes every constraint row to unit infinity-norm;
 all reported quantities are unscaled back to the original data.
+
+The PSD blocks are stacked by size: each group of same-size blocks is one
+(B, d, d) array, gathered from and scattered to the svec vector through
+precomputed index maps, so every kernel of an iteration (scaling point,
+scaled vectors, direction, targets, step to the boundary, interior check)
+is one batched numpy/LAPACK call per group rather than one per block.
 """
 
 import logging
@@ -64,50 +70,84 @@ class SolverReport:
 
 
 # ---------------------------------------------------------------------------
-# svec helpers
+# PSD blocks, stacked by size
 
 
-def _svec_meta(d):
-    iu = np.triu_indices(d)
-    w = np.where(iu[0] == iu[1], 1.0, np.sqrt(2.0))
-    return iu, w
+def _t(mats):
+    """Transpose of every matrix in a (..., d, d) stack."""
+    return np.swapaxes(mats, -1, -2)
 
 
-def _svec(mat, meta):
-    iu, w = meta
-    return mat[iu] * w
-
-
-def _smat(vec, meta, d):
-    iu, w = meta
-    out = np.zeros((d, d))
-    vals = vec / w
-    out[iu] = vals
-    out[iu[1], iu[0]] = vals
+def _diag(vals):
+    """(..., d, d) diagonal matrices of (..., d) values."""
+    d = vals.shape[-1]
+    out = np.zeros(vals.shape + (d,))
+    out[..., np.arange(d), np.arange(d)] = vals
     return out
-
-
-def _svec_batch(mats, meta):
-    iu, w = meta
-    return mats[:, iu[0], iu[1]] * w
 
 
 def _embedding_image(m):
-    """Conjugation of a 2n x 2n matrix by the quarter-turn [[0, -I], [I, 0]]."""
-    n = m.shape[0] // 2
+    """Conjugation of 2n x 2n matrices by the quarter-turn [[0, -I], [I, 0]]."""
+    n = m.shape[-1] // 2
     out = np.empty_like(m)
-    out[:n, :n] = m[n:, n:]
-    out[n:, n:] = m[:n, :n]
-    out[:n, n:] = -m[n:, :n]
-    out[n:, :n] = -m[:n, n:]
+    out[..., :n, :n] = m[..., n:, n:]
+    out[..., n:, n:] = m[..., :n, :n]
+    out[..., :n, n:] = -m[..., n:, :n]
+    out[..., n:, :n] = -m[..., :n, n:]
     return out
 
 
-def _is_embedding_symmetric(m):
-    if m.shape[0] % 2 != 0:
-        return False
-    scale = max(1.0, float(np.abs(m).max()))
-    return float(np.abs(m - _embedding_image(m)).max()) <= 1e-12 * scale
+def _embedding_symmetric(mats):
+    """Per matrix of a (..., 2n, 2n) stack: equal to its quarter-turn image
+    within 1e-12 of its largest entry (at least 1), compared quadrant by
+    quadrant in one quarter-size buffer."""
+    n = mats.shape[-1] // 2
+    ax = (-2, -1)
+    peak = np.maximum(mats.max(axis=ax), -mats.min(axis=ax))
+    buf = np.subtract(mats[..., :n, :n], mats[..., n:, n:])
+    off = np.abs(buf, out=buf).max(axis=ax)
+    np.add(mats[..., :n, n:], mats[..., n:, :n], out=buf)
+    off = np.maximum(off, np.abs(buf, out=buf).max(axis=ax))
+    return off <= 1e-12 * np.maximum(1.0, peak)
+
+
+class _BlockGroup:
+    """The PSD blocks of one size d, as index maps into svec vectors.
+
+    ``cols[j]`` holds the svec positions of block ``blocks[j]`` (upper
+    triangle row by row, off-diagonal entries times sqrt 2), ``pos[j]`` the
+    position of every entry of its d x d matrix and ``diag[j]`` those of its
+    diagonal, so svec and smat of all B blocks are one gather each.
+    """
+
+    def __init__(self, d, blocks, block_starts):
+        self.d = d
+        self.blocks = np.asarray(blocks, dtype=int)
+        self.iu = np.triu_indices(d)
+        self.w = np.where(self.iu[0] == self.iu[1], 1.0, np.sqrt(2.0))
+        self.w_mat = np.where(np.eye(d, dtype=bool), 1.0, np.sqrt(2.0))
+        local = np.empty((d, d), dtype=int)
+        local[self.iu] = np.arange(len(self.w))
+        local[self.iu[1], self.iu[0]] = local[self.iu]
+        starts = block_starts[self.blocks]
+        self.cols = starts[:, np.newaxis] + np.arange(len(self.w))
+        self.pos = starts[:, np.newaxis, np.newaxis] + local
+        self.diag = self.pos[:, np.arange(d), np.arange(d)]
+
+    def smat(self, vec):
+        """(..., B, d, d) symmetric blocks of svec vectors (..., n)."""
+        return vec[..., self.pos] / self.w_mat
+
+    def svec(self, mats):
+        """(..., B, L) svec entries of (..., B, d, d) symmetric blocks."""
+        return mats[..., self.iu[0], self.iu[1]] * self.w
+
+    def row_mats(self, a):
+        """(B, m, d, d) symmetric blocks of the m rows of ``a``."""
+        rows = np.arange(a.shape[0])[:, np.newaxis, np.newaxis]
+        mats = a[rows, self.pos[:, np.newaxis]]
+        mats /= self.w_mat
+        return mats
 
 
 # ---------------------------------------------------------------------------
@@ -121,9 +161,16 @@ class _StandardForm:
         problem.validate()
         m = len(problem.constraints)
         self.psd_dims = list(problem.psd_dims)
-        self.metas = [_svec_meta(d) for d in self.psd_dims]
-        self.sv_lens = [d * (d + 1) // 2 for d in self.psd_dims]
-        self.block_starts = np.concatenate([[0], np.cumsum(self.sv_lens)]).astype(int)
+        sv_lens = [d * (d + 1) // 2 for d in self.psd_dims]
+        self.block_starts = np.concatenate([[0], np.cumsum(sv_lens)]).astype(int)
+        # blocks grouped by size; block_at[blk] = (group, position in it)
+        self.groups = []
+        self.block_at = [None] * len(self.psd_dims)
+        for d in dict.fromkeys(self.psd_dims):
+            blocks = [blk for blk, dim in enumerate(self.psd_dims) if dim == d]
+            for j, blk in enumerate(blocks):
+                self.block_at[blk] = (len(self.groups), j)
+            self.groups.append(_BlockGroup(d, blocks, self.block_starts))
         n_sv = int(self.block_starts[-1])
         self.n_orth_vars = problem.orthant_dim
         self.n_x = n_sv + self.n_orth_vars      # variables before slacks
@@ -135,16 +182,17 @@ class _StandardForm:
         b = np.empty(m)
         for i, con in enumerate(problem.constraints):
             for blk, coeff in con.psd_coeffs.items():
-                s = self.block_starts[blk]
-                a[i, s:s + self.sv_lens[blk]] = _svec(coeff, self.metas[blk])
+                k, j = self.block_at[blk]
+                a[i, self.groups[k].cols[j]] = self.groups[k].svec(coeff)
             if self.n_orth_vars:
                 a[i, n_sv:] = con.orthant_coeffs
             a[i] *= self.sense_sign[i]
             b[i] = self.sense_sign[i] * con.constant
         c = np.zeros(self.n_x)
-        for blk, coeff in enumerate(problem.objective_psd):
-            s = self.block_starts[blk]
-            c[s:s + self.sv_lens[blk]] = _svec(coeff, self.metas[blk])
+        objectives = [np.array([problem.objective_psd[blk] for blk in grp.blocks])
+                      for grp in self.groups]
+        for grp, cmats in zip(self.groups, objectives):
+            c[grp.cols] = grp.svec(cmats)
         if self.n_orth_vars:
             c[n_sv:] = problem.objective_orthant
         self.n_sv = n_sv
@@ -163,20 +211,13 @@ class _StandardForm:
         for _ in range(3):
             if a.size == 0:
                 break
-            for blk in range(len(self.psd_dims)):
-                s = self.block_starts[blk]
-                e = s + self.sv_lens[blk]
-                peak = np.abs(a[:, s:e]).max()
-                if peak > 0:
-                    f = 1.0 / np.sqrt(peak)
-                    a[:, s:e] *= f
-                    self.col_scale[s:e] *= f
-            for jcol in range(n_sv, self.n_x):
-                peak = np.abs(a[:, jcol]).max()
-                if peak > 0:
-                    f = 1.0 / np.sqrt(peak)
-                    a[:, jcol] *= f
-                    self.col_scale[jcol] *= f
+            peaks = np.abs(a).max(axis=0)
+            if n_sv:
+                block_peaks = np.maximum.reduceat(peaks[:n_sv], self.block_starts[:-1])
+                peaks[:n_sv] = np.repeat(block_peaks, sv_lens)
+            f = 1.0 / np.sqrt(np.where(peaks > 0, peaks, 1.0))
+            a *= f
+            self.col_scale *= f
             peaks = np.abs(a).max(axis=1)
             f = 1.0 / np.sqrt(np.where(peaks > 0, peaks, 1.0))
             a *= f[:, np.newaxis]
@@ -202,54 +243,37 @@ class _StandardForm:
         # slack per kept row: a.u - s = b
         mk = len(self.kept)
         self.a_full = np.hstack([a, -np.eye(mk)]) if mk else np.zeros((0, self.n_x))
+        del a
         self.b = b
         self.c_full = np.concatenate([c_scaled, np.zeros(mk)])
         self.c_orig = c
         self.n_total = self.n_x + mk
         self.n_orth_total = self.n_orth_vars + mk
         self.cone_degree = sum(self.psd_dims) + self.n_orth_total
-        # batched constraint matrices per PSD block, for the scaled system
-        self.a_mats = []
-        for blk in range(len(self.psd_dims)):
-            s = self.block_starts[blk]
-            sl = self.a_full[:, s:s + self.sv_lens[blk]]
-            d = self.psd_dims[blk]
-            mats = np.zeros((mk, d, d))
-            iu, w = self.metas[blk]
-            vals = sl / w
-            mats[:, iu[0], iu[1]] = vals
-            mats[:, iu[1], iu[0]] = vals
-            self.a_mats.append(mats)
+        # per group, the (B, mk, d, d) constraint matrices of the scaled system
+        self.a_mats = [grp.row_mats(self.a_full) for grp in self.groups]
         # blocks whose data all commutes with the complex-embedding symmetry
         # J M J' (J the quarter-turn) can have their iterates projected onto
         # that invariant subspace, which keeps Hermitian recovery exact
-        self.structured = []
-        for blk, cmat in enumerate(problem.objective_psd):
-            ok = _is_embedding_symmetric(cmat) and all(
-                _is_embedding_symmetric(self.a_mats[blk][i]) for i in range(mk)
-            )
-            self.structured.append(ok)
+        self.sym_groups = []
+        for grp, cmats, mats in zip(self.groups, objectives, self.a_mats):
+            ok = _embedding_symmetric(cmats) & _embedding_symmetric(mats).all(axis=1)
+            if ok.any():
+                self.sym_groups.append(_BlockGroup(grp.d, grp.blocks[ok], self.block_starts))
 
     def project_structured(self, vec):
         """Average each structured block with its symmetry image, in place."""
-        for blk, flag in enumerate(self.structured):
-            if not flag:
-                continue
-            d = self.psd_dims[blk]
-            s = self.block_starts[blk]
-            meta = self.metas[blk]
-            m = _smat(vec[s:s + self.sv_lens[blk]], meta, d)
-            vec[s:s + self.sv_lens[blk]] = _svec(0.5 * (m + _embedding_image(m)), meta)
+        for grp in self.sym_groups:
+            m = grp.smat(vec)
+            vec[grp.cols] = grp.svec(0.5 * (m + _embedding_image(m)))
         return vec
 
     # -- views ---------------------------------------------------------------
 
-    def psd_slices(self, vec):
-        out = []
-        for blk in range(len(self.psd_dims)):
-            s = self.block_starts[blk]
-            out.append(vec[s:s + self.sv_lens[blk]])
-        return out
+    def psd_mats(self, vec):
+        """The symmetric matrix of every PSD block of an svec vector, in block order."""
+        stacks = [grp.smat(vec) for grp in self.groups]
+        return tuple(stacks[k][j] for k, j in self.block_at)
 
     def orth_slice(self, vec):
         return vec[self.n_sv:]
@@ -265,25 +289,20 @@ class _StandardForm:
 
 
 class _Scaling:
-    """Nesterov-Todd scaling point for one iterate."""
+    """Nesterov-Todd scaling point for one iterate, one (B, d, d) stack per group."""
 
     def __init__(self, sf, u, z):
         self.g = []
         self.lam = []
-        for blk, meta in enumerate(sf.metas):
-            d = sf.psd_dims[blk]
-            s = sf.block_starts[blk]
-            x_mat = _smat(u[s:s + sf.sv_lens[blk]], meta, d)
-            z_mat = _smat(z[s:s + sf.sv_lens[blk]], meta, d)
-            lx = np.linalg.cholesky(x_mat)
-            core = lx.T @ z_mat @ lx
-            core = 0.5 * (core + core.T)
+        for grp in sf.groups:
+            lx = np.linalg.cholesky(grp.smat(u))
+            core = _t(lx) @ grp.smat(z) @ lx
+            core = 0.5 * (core + _t(core))
             lam_sq, q = np.linalg.eigh(core)
-            if lam_sq[0] <= 0.0:
+            if np.any(lam_sq[:, 0] <= 0.0):
                 raise np.linalg.LinAlgError("scaling matrix not positive definite")
             lam = np.sqrt(lam_sq)
-            g = lx @ (q * lam ** -0.5)
-            self.g.append(g)
+            self.g.append(lx @ (q * (lam ** -0.5)[:, np.newaxis, :]))
             self.lam.append(lam)
         x_orth = u[sf.n_sv:]
         z_orth = z[sf.n_sv:]
@@ -295,25 +314,21 @@ class _Scaling:
 
 def _scaled_rows(sf, scal):
     """Rows of A in the scaled space: svec(G' A_i G) per block, w*a on the orthant."""
-    parts = []
-    for blk, meta in enumerate(sf.metas):
-        g = scal.g[blk]
-        t = np.matmul(g.T, np.matmul(sf.a_mats[blk], g))
-        parts.append(_svec_batch(t, meta))
-    orth = sf.a_full[:, sf.n_sv:] * scal.w_orth[np.newaxis, :]
-    parts.append(orth)
-    return np.hstack(parts)
+    atil = np.empty((len(sf.kept), sf.n_total))
+    for grp, a_mats, g in zip(sf.groups, sf.a_mats, scal.g):
+        # one product per block over all rows: broadcasting the (B, d, d)
+        # stack against (B, m, d, d) would leave numpy's BLAS path
+        for cols, a_blk, g_blk in zip(grp.cols, a_mats, g):
+            atil[:, cols] = grp.svec(np.matmul(g_blk.T, np.matmul(a_blk, g_blk)))
+    atil[:, sf.n_sv:] = sf.a_full[:, sf.n_sv:] * scal.w_orth[np.newaxis, :]
+    return atil
 
 
 def _scale_dual_vec(sf, scal, vec):
     """Apply the scaling to a z-space vector: svec(G' M G) blocks, w*v orthant."""
     out = np.empty_like(vec)
-    for blk, meta in enumerate(sf.metas):
-        d = sf.psd_dims[blk]
-        s = sf.block_starts[blk]
-        g = scal.g[blk]
-        m = _smat(vec[s:s + sf.sv_lens[blk]], meta, d)
-        out[s:s + sf.sv_lens[blk]] = _svec(g.T @ m @ g, meta)
+    for grp, g in zip(sf.groups, scal.g):
+        out[grp.cols] = grp.svec(_t(g) @ grp.smat(vec) @ g)
     out[sf.n_sv:] = scal.w_orth * vec[sf.n_sv:]
     return out
 
@@ -321,15 +336,11 @@ def _scale_dual_vec(sf, scal, vec):
 def _step_to_boundary(sf, scal, scaled_dir):
     """Largest alpha with lambda + alpha*dir staying PSD / positive, scaled space."""
     alpha = np.inf
-    for blk, meta in enumerate(sf.metas):
-        d = sf.psd_dims[blk]
-        s = sf.block_starts[blk]
-        lam = scal.lam[blk]
-        m = _smat(scaled_dir[s:s + sf.sv_lens[blk]], meta, d)
-        norm = m / np.sqrt(np.outer(lam, lam))
-        lo = np.linalg.eigvalsh(norm)[0]
-        if lo < 0:
-            alpha = min(alpha, 1.0 / -lo)
+    for grp, lam in zip(sf.groups, scal.lam):
+        norm = grp.smat(scaled_dir) / np.sqrt(lam[:, :, np.newaxis] * lam[:, np.newaxis, :])
+        lo = np.linalg.eigvalsh(norm)[:, 0]
+        if np.any(lo < 0):
+            alpha = min(alpha, float(np.min(1.0 / -lo[lo < 0])))
     dir_orth = scaled_dir[sf.n_sv:]
     lam_orth = scal.lam_orth
     neg = dir_orth < 0
@@ -340,16 +351,14 @@ def _step_to_boundary(sf, scal, scaled_dir):
 
 def _interior(sf, u, z):
     """Strict cone interior check for a trial iterate."""
-    for vec in (u, z):
-        if np.any(vec[sf.n_sv:] <= 0.0):
-            return False
-        for blk, meta in enumerate(sf.metas):
-            d = sf.psd_dims[blk]
-            s = sf.block_starts[blk]
-            try:
-                np.linalg.cholesky(_smat(vec[s:s + sf.sv_lens[blk]], meta, d))
-            except np.linalg.LinAlgError:
-                return False
+    if np.any(u[sf.n_sv:] <= 0.0) or np.any(z[sf.n_sv:] <= 0.0):
+        return False
+    pair = np.stack((u, z))
+    try:
+        for grp in sf.groups:
+            np.linalg.cholesky(grp.smat(pair))
+    except np.linalg.LinAlgError:
+        return False
     return True
 
 
@@ -381,30 +390,26 @@ def _newton_step(sf, u, y, z, r_p, r_d, mu):
 
     def direction(d_target):
         rhs = r_p - atil @ (d_target - rd_scaled)
-        dy = cho_solve(factor, rhs)
+        # the Schur matrix was checked finite and every iterate is checked
+        dy = cho_solve(factor, rhs, check_finite=False)
         for _ in range(4):  # refinement against the unregularized system
             resid = rhs - schur @ dy
             if np.abs(resid).max() <= 1e-15 * max(1.0, np.abs(rhs).max()):
                 break
-            dy = dy + cho_solve(factor, resid)
+            dy = dy + cho_solve(factor, resid, check_finite=False)
         dz = r_d - a.T @ dy
         dz_scaled = _scale_dual_vec(sf, scal, dz)
         dx_scaled = d_target - dz_scaled
         dx = np.empty(sf.n_total)
-        for blk, meta in enumerate(sf.metas):
-            d = sf.psd_dims[blk]
-            s = sf.block_starts[blk]
-            g = scal.g[blk]
-            mdx = _smat(dx_scaled[s:s + sf.sv_lens[blk]], meta, d)
-            dx[s:s + sf.sv_lens[blk]] = _svec(g @ mdx @ g.T, meta)
+        for grp, g in zip(sf.groups, scal.g):
+            dx[grp.cols] = grp.svec(g @ grp.smat(dx_scaled) @ _t(g))
         dx[sf.n_sv:] = scal.w_orth * dx_scaled[sf.n_sv:]
         return dx, dy, dz, dx_scaled, dz_scaled
 
     # predictor: drive complementarity to zero
-    d_aff = np.empty(sf.n_total)
-    for blk, meta in enumerate(sf.metas):
-        s = sf.block_starts[blk]
-        d_aff[s:s + sf.sv_lens[blk]] = _svec(np.diag(-scal.lam[blk]), meta)
+    d_aff = np.zeros(sf.n_total)
+    for grp, lam in zip(sf.groups, scal.lam):
+        d_aff[grp.diag] = -lam
     d_aff[sf.n_sv:] = -scal.lam_orth
     dx_a, dy_a, dz_a, dxs_a, dzs_a = direction(d_aff)
     alpha_xa = min(1.0, _step_to_boundary(sf, scal, dxs_a))
@@ -414,16 +419,13 @@ def _newton_step(sf, u, y, z, r_p, r_d, mu):
 
     # corrector: recentre and take out the second-order term
     d_comb = np.empty(sf.n_total)
-    for blk, meta in enumerate(sf.metas):
-        d = sf.psd_dims[blk]
-        s = sf.block_starts[blk]
-        lam = scal.lam[blk]
-        u_mat = _smat(dxs_a[s:s + sf.sv_lens[blk]], meta, d)
-        v_mat = _smat(dzs_a[s:s + sf.sv_lens[blk]], meta, d)
+    for grp, lam in zip(sf.groups, scal.lam):
+        u_mat = grp.smat(dxs_a)
+        v_mat = grp.smat(dzs_a)
         cross = 0.5 * (u_mat @ v_mat + v_mat @ u_mat)
-        r_mat = sigma * mu * np.eye(d) - np.diag(lam ** 2) - cross
-        d_mat = 2.0 * r_mat / np.add.outer(lam, lam)
-        d_comb[s:s + sf.sv_lens[blk]] = _svec(d_mat, meta)
+        r_mat = sigma * mu * np.eye(grp.d) - _diag(lam ** 2) - cross
+        d_mat = 2.0 * r_mat / (lam[:, :, np.newaxis] + lam[:, np.newaxis, :])
+        d_comb[grp.cols] = grp.svec(d_mat)
     lam_o = scal.lam_orth
     d_comb[sf.n_sv:] = (sigma * mu - lam_o ** 2 - dxs_a[sf.n_sv:] * dzs_a[sf.n_sv:]) / lam_o
 
@@ -457,14 +459,8 @@ def solve(problem, opts=None, _allow_phase1=True):
     def report(status, u, y, z, res, iters, log, phase1_iters=0):
         x_orig = sf.unscale_primal(u)
         y_orig, z_orig = sf.unscale_dual(y, z)
-        psd_vals = tuple(
-            _smat(s_vec, meta, d)
-            for s_vec, meta, d in zip(sf.psd_slices(x_orig), sf.metas, sf.psd_dims)
-        )
-        psd_duals = tuple(
-            _smat(s_vec, meta, d)
-            for s_vec, meta, d in zip(sf.psd_slices(z_orig), sf.metas, sf.psd_dims)
-        )
+        psd_vals = sf.psd_mats(x_orig)
+        psd_duals = sf.psd_mats(z_orig)
         orth_vals = sf.orth_slice(x_orig) if sf.n_orth_vars else np.zeros(0)
         orth_dual = sf.orth_slice(z_orig) if sf.n_orth_vars else np.zeros(0)
         pobj = float(sf.c_orig @ x_orig)
@@ -494,10 +490,8 @@ def solve(problem, opts=None, _allow_phase1=True):
         u = np.full(sf.n_total, 0.0)
         z = sf.c_full.copy()
         feasible_dual = True
-        for blk, meta in enumerate(sf.metas):
-            d = sf.psd_dims[blk]
-            s = sf.block_starts[blk]
-            if np.linalg.eigvalsh(_smat(z[s:s + sf.sv_lens[blk]], meta, d))[0] < -opts.abs_tol:
+        for grp in sf.groups:
+            if np.any(np.linalg.eigvalsh(grp.smat(z))[:, 0] < -opts.abs_tol):
                 feasible_dual = False
         if sf.n_orth_vars and np.any(sf.orth_slice(z[: sf.n_x]) < -opts.abs_tol):
             feasible_dual = False
@@ -512,14 +506,10 @@ def solve(problem, opts=None, _allow_phase1=True):
 
     # interior start: identity-like point
     u = np.zeros(sf.n_total)
-    z = np.zeros(sf.n_total)
-    for blk, meta in enumerate(sf.metas):
-        s = sf.block_starts[blk]
-        ident = _svec(np.eye(sf.psd_dims[blk]), meta)
-        u[s:s + sf.sv_lens[blk]] = ident
-        z[s:s + sf.sv_lens[blk]] = ident
+    for grp in sf.groups:
+        u[grp.diag] = 1.0
     u[sf.n_sv:] = 1.0
-    z[sf.n_sv:] = 1.0
+    z = u.copy()
     scale0 = max(1.0, float(np.abs(b).max()), float(np.abs(c).max()))
     u *= scale0
     z *= scale0
@@ -644,14 +634,12 @@ def _phase1(sf, opts):
     """
     mk = len(sf.kept)
     n_orth = sf.n_orth_vars + 1
+    # (B, mk) per group: does block j appear in row i
+    touches = [np.any(mats != 0.0, axis=(-2, -1)) for mats in sf.a_mats]
     cons = []
     for i in range(mk):
-        psd = {}
-        for blk in range(len(sf.psd_dims)):
-            s = sf.block_starts[blk]
-            sl = sf.a_full[i, s:s + sf.sv_lens[blk]]
-            if np.any(sl):
-                psd[blk] = _smat(sl, sf.metas[blk], sf.psd_dims[blk])
+        psd = {blk: sf.a_mats[k][j, i] for blk, (k, j) in enumerate(sf.block_at)
+               if touches[k][j, i]}
         orth = np.zeros(n_orth)
         orth[: sf.n_orth_vars] = sf.a_full[i, sf.n_sv: sf.n_x]
         orth[-1] = 1.0

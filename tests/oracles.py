@@ -54,9 +54,13 @@ def enumerate_lp_optimum(c, rows, senses, consts):
     return best
 
 
-def random_diagonal_instance(rng, n_psd=2, n_orth=2, m=4):
-    """Diagonal-data SDP whose optimum matches an LP over the diagonals."""
-    dims = [2 * rng.integers(1, 3) for _ in range(n_psd)]
+def random_diagonal_instance(rng, n_psd=2, n_orth=2, m=4, dims=None):
+    """Diagonal-data SDP whose optimum matches an LP over the diagonals.
+
+    The block sizes are ``dims``, or n_psd random sizes from {2, 4}.
+    """
+    if dims is None:
+        dims = [2 * rng.integers(1, 3) for _ in range(n_psd)]
     n_lp = sum(dims) + n_orth
     c = rng.uniform(0.5, 2.0, size=n_lp)
     v0 = rng.uniform(0.2, 1.5, size=n_lp)

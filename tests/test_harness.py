@@ -65,6 +65,20 @@ class TestRunTrial:
         assert r.hd_precheck_infeasible in (True, False)
         assert r.status in ("primal_infeasible", "optimal", "max_iters", "numerical_failure")
 
+    @pytest.mark.parametrize("cfg", [
+        SystemConfig(n_antennas=4, n_dl=1, n_ul=1, n_idle=0),
+        SystemConfig(n_antennas=6, n_dl=2, n_ul=2, n_idle=0),
+    ])
+    def test_no_idle_users_schemes_agree(self, cfg):
+        # with no eavesdropper nothing rewards AN, so its power optimises to
+        # zero and every scheme reaches the same optimum
+        for seed in range(3):
+            rows = [run_trial(cfg, seed, s) for s in ("optimal", "baseline1", "baseline2")]
+            assert [r.status for r in rows] == ["optimal"] * 3
+            opt, b1, b2 = (r.objective_w for r in rows)
+            assert b1 == pytest.approx(b2, rel=1e-12)
+            assert opt == pytest.approx(b1, rel=1e-7)
+
     def test_unknown_scheme(self):
         with pytest.raises(ValueError):
             run_trial(SMALL, 0, "mrt")

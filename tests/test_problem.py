@@ -147,11 +147,12 @@ class TestBaselines:
         scale = np.abs(slacks_opt) + 1e-300
         assert np.max(np.abs(slacks_opt - slacks_base) / np.maximum(scale, 1e-18)) <= 1e-9
 
-    def test_baseline1_requires_idle_users(self):
+    def test_baseline1_without_idle_users_is_isotropic(self):
         cfg = SystemConfig(n_antennas=4, n_dl=1, n_ul=1, n_idle=0)
         chan, rec = scenario(cfg, 5)
-        with pytest.raises(ValueError):
-            build_baseline_problem(chan, cfg, rec, "baseline1")
+        d = an_direction(chan, "baseline1", cfg.n_antennas)
+        assert np.array_equal(d, np.eye(cfg.n_antennas) / cfg.n_antennas)
+        build_baseline_problem(chan, cfg, rec, "baseline1")
 
 
 class TestHdProblem:

@@ -86,6 +86,28 @@ class TestDiagonalOracle:
             solved += 1
         assert solved >= 40  # the generator rarely produces infeasible data
 
+    def test_same_size_blocks_not_adjacent(self):
+        # blocks 0 and 2 share a size and block 1 sits between them, so the
+        # solver's per-size stacks gather and scatter non-contiguous blocks
+        rng = np.random.default_rng(7)
+        tight = SolverOptions(rel_tol=1e-9, abs_tol=1e-11)
+        solved = 0
+        for _ in range(8):
+            prob, (c, rows, senses, consts) = random_diagonal_instance(
+                rng, n_orth=2, m=5, dims=(4, 2, 4))
+            oracle = enumerate_lp_optimum(c, rows, senses, consts)
+            rep = solve(prob, tight)
+            if not np.isfinite(oracle):
+                assert rep.status == "primal_infeasible"
+                continue
+            assert rep.status == "optimal"
+            assert [x.shape for x in rep.primal.psd] == [(4, 4), (2, 2), (4, 4)]
+            assert rep.primal_obj == pytest.approx(oracle, rel=1e-7, abs=1e-9)
+            assert prob.objective_value(rep.primal) == pytest.approx(oracle, rel=1e-7, abs=1e-9)
+            assert prob.slacks(rep.primal).min() >= -1e-7
+            solved += 1
+        assert solved >= 6
+
 
 class TestSolverProperties:
     def build_paper_like(self, seed):
