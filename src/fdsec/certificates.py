@@ -15,6 +15,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .linalg import eigvals_herm, herm_eig
+from .metrics import Allocation, link_vectors, quad_forms, quad_table
 from .problem import recover_allocation, recover_duals
 
 RANK_TOL = 1e-6
@@ -158,28 +159,22 @@ def rebalance_powers(alloc, chan, cfg, tol=RANK_TOL, an_repair="free"):
 
     With beam directions fixed, the DL and UL SINR targets are linear in
     the K beam powers and J uplink powers; the polish solves for the powers
-    that meet every target with equality. Solver-level wobble on the
-    eavesdropper caps is absorbed by microscopic additions to the AN
-    covariance. Added noise feeds back into the powers: through the
-    self-interference directions it raises the UL powers, and with them
-    the UL leakage. So the patch coefficients are solved JOINTLY with the
-    powers, as one small linear program that runs only when the pinned
-    point leaves a cap deficit above CAP_TOL. ``an_repair`` selects the
-    patch family: "free" (fully optimized scheme) uses the directions of
-    :func:`_an_patch_matrices`, "scale" (baselines) the existing fixed AN
-    direction as a single column, "none" no patch. The result is checked
-    with :func:`fdsec.metrics.constraint_margins`. Returns None when a beam
+    that meet every target with equality. The linear system and the leak
+    table are the rows of :func:`fdsec.metrics.quad_table` at unit-power
+    beams. Solver-level wobble on the eavesdropper caps is absorbed by
+    microscopic additions to the AN covariance. Added noise feeds back
+    into the powers: through the self-interference directions it raises
+    the UL powers, and with them the UL leakage. So the patch coefficients
+    are solved JOINTLY with the powers, as one small linear program that
+    runs only when the pinned point leaves a cap deficit above CAP_TOL.
+    ``an_repair`` selects the patch family: "free" (fully optimized
+    scheme) uses the directions of :func:`_an_patch_matrices`, "scale"
+    (baselines) the existing fixed AN direction as a single column. The
+    result's caps are checked on its own table. Returns None when a beam
     is not rank one, a power comes out nonpositive, no nonnegative patch
     holds the caps within CAP_TOL_FALLBACK, or the repair is not tiny.
     """
-    from .metrics import Allocation, constraint_margins, quad_form
-
     k_users = len(alloc.W)
-    j_users = alloc.P.size
-    m_users = chan.l.shape[0]
-    gamma_dl = cfg.dl_sinr_targets
-    gamma_ul = cfg.ul_sinr_targets
-    gamma_tol = cfg.eve_sinr_cap
     directions = []
     for w_mat in alloc.W:
         ext = extract_beamformer(w_mat, tol)
@@ -190,37 +185,13 @@ def rebalance_powers(alloc, chan, cfg, tol=RANK_TOL, an_repair="free"):
             return None
         directions.append(ext.w / norm)
 
-    si_vecs = [chan.h_si.conj().T @ alloc.receivers.r[j] for j in range(j_users)]
-    n_p = k_users + j_users
-    base = np.zeros((n_p, n_p))
-    for k in range(k_users):
-        h = chan.h[k]
-        for i in range(k_users):
-            gain = abs(np.vdot(h, directions[i])) ** 2
-            base[k, i] = gain / gamma_dl[k] if i == k else -gain
-        for j in range(j_users):
-            base[k, k_users + j] = -abs(chan.f[j, k]) ** 2
-    for j in range(j_users):
-        r = alloc.receivers.r[j]
-        for i in range(j_users):
-            gain = abs(np.vdot(r, chan.g[i])) ** 2
-            base[k_users + j, k_users + i] = gain / gamma_ul[j] if i == j else -gain
-        for k in range(k_users):
-            base[k_users + j, k] = -abs(np.vdot(si_vecs[j], directions[k])) ** 2
-    base_rhs = np.empty(n_p)
-    for k in range(k_users):
-        base_rhs[k] = chan.sigma2_dl[k] + quad_form(chan.h[k], alloc.V)
-    for j in range(j_users):
-        base_rhs[k_users + j] = chan.sigma2_bs * float(np.linalg.norm(alloc.receivers.r[j]) ** 2) \
-            + quad_form(si_vecs[j], alloc.V)
-
+    unit = quad_table(Allocation(W=tuple(np.outer(d, d.conj()) for d in directions),
+                                 V=alloc.V, P=alloc.P, receivers=alloc.receivers), chan)
+    targets = np.concatenate([cfg.dl_sinr_targets, cfg.ul_sinr_targets])
+    base = np.diag(unit.own / targets) - unit.cross
+    base_rhs = unit.an + unit.noise
     # leakage coefficients: cap of eavesdropper m must cover every term
-    leak = np.zeros((m_users, n_p))
-    for m in range(m_users):
-        for k in range(k_users):
-            leak[m, k] = abs(np.vdot(chan.l[m], directions[k])) ** 2 / gamma_tol
-        for j in range(j_users):
-            leak[m, k_users + j] = abs(chan.t[j, m]) ** 2 / gamma_tol
+    leak = unit.eve / cfg.eve_sinr_cap
 
     def solve_refined(mat, vec):
         sol = np.linalg.solve(mat, vec)
@@ -238,26 +209,23 @@ def rebalance_powers(alloc, chan, cfg, tol=RANK_TOL, an_repair="free"):
     if np.any(s0 <= 0.0) or not np.all(np.isfinite(s0)):
         return None
 
-    cap0 = np.array([chan.sigma2_eve[m] + quad_form(chan.l[m], alloc.V)
-                     for m in range(m_users)])
+    cap0 = unit.eve_noise + unit.eve_an
     powers, v_mat = s0, alloc.V
-    if m_users and float(((leak * s0).max(axis=1) / cap0).max()) - 1.0 > CAP_TOL:
-        tr_v = float(np.trace(alloc.V).real)
+    if leak.size and float(((leak * s0).max(axis=1) / cap0).max()) - 1.0 > CAP_TOL:
+        links = link_vectors(chan, alloc.receivers)
         if an_repair == "free":
-            patches = _an_patch_matrices(chan, si_vecs)
-        elif an_repair == "scale" and tr_v > 0.0:
-            patches = [alloc.V / tr_v]
+            patches = _an_patch_matrices(chan, links[k_users:])
         else:
-            patches = []
+            tr_v = float(np.trace(alloc.V).real)
+            patches = [alloc.V / tr_v] if tr_v > 0.0 else []
         if not patches:
             return None
-        loads = np.array([[quad_form(l_vec, p) for p in patches] for l_vec in chan.l])
-        cols = np.array([[quad_form(vec, p) for p in patches] for vec in (*chan.h, *si_vecs)])
+        loads = quad_forms(chan.l, np.array(patches))
         try:
-            s1 = solve_refined(base, cols)
+            s1 = solve_refined(base, quad_forms(links, np.array(patches)))
         except np.linalg.LinAlgError:
             return None
-        weights = np.concatenate([np.full(k_users, cfg.alpha), np.full(j_users, cfg.beta)])
+        weights = np.concatenate([np.full(k_users, cfg.alpha), np.full(alloc.P.size, cfg.beta)])
         cost = weights @ s1 + cfg.alpha  # the patches are unit trace
         eps = _patch_coefficients(s0, s1, leak, cap0, loads, cost)
         if eps is None:
@@ -273,11 +241,10 @@ def rebalance_powers(alloc, chan, cfg, tol=RANK_TOL, an_repair="free"):
                   for p, d in zip(powers[:k_users], directions))
     polished = Allocation(W=w_new, V=v_mat, P=powers[k_users:], receivers=alloc.receivers)
     if v_mat is not alloc.V:
-        margins = constraint_margins(polished, chan, cfg)
-        caps = np.array([chan.sigma2_eve[m] + quad_form(chan.l[m], v_mat)
-                         for m in range(m_users)])[:, np.newaxis]
-        if min(float((margins.c3 / caps).min(initial=0.0)),
-               float((margins.c4 / caps).min(initial=0.0))) < -CAP_TOL_FALLBACK:
+        table = quad_table(polished, chan)
+        margins = table.margins(cfg)
+        caps = (table.eve_noise + table.eve_an)[:, np.newaxis]
+        if float((np.hstack([margins.c3, margins.c4]) / caps).min(initial=0.0)) < -CAP_TOL_FALLBACK:
             return None
     return polished
 
@@ -310,14 +277,16 @@ def dual_certificate(report, chan, cfg, receivers, vmap, tol=RANK_TOL, alloc=Non
 
     h_mats = [np.outer(chan.h[k], chan.h[k].conj()) for k in range(k_users)]
     l_mats = [np.outer(chan.l[m], chan.l[m].conj()) for m in range(m_users)]
-    si_mats = []
-    for j in range(j_users):
-        a = chan.h_si.conj().T @ receivers.r[j]
-        si_mats.append(np.outer(a, a.conj()))
+    si_mats = [np.outer(a, a.conj()) for a in link_vectors(chan, receivers)[k_users:]]
 
     if alloc is None:
         alloc = recover_allocation(report.primal, vmap, receivers)
     solver_y = recover_duals(report, vmap)
+    # C1 tightness: |lhs - rhs| / max(lhs, rhs), lhs = h^H W_k h / gamma_k
+    table = quad_table(alloc, chan)
+    c1 = table.margins(cfg).c1
+    lhs = table.own[:k_users] / gamma_dl
+    tightness = np.abs(c1) / np.maximum(np.maximum(lhs, lhs - c1), 1e-300)
 
     ranks = np.zeros(k_users, dtype=int)
     ratios = np.zeros(k_users)
@@ -325,7 +294,6 @@ def dual_certificate(report, chan, cfg, receivers, vmap, tol=RANK_TOL, alloc=Non
     b_min = np.zeros(k_users)
     zero_counts = np.zeros(k_users, dtype=int)
     consistency = np.zeros(k_users)
-    tightness = np.zeros(k_users)
     ok = True
     dl_power = sum(float(np.trace(w).real) for w in alloc.W)
 
@@ -356,18 +324,6 @@ def dual_certificate(report, chan, cfg, receivers, vmap, tol=RANK_TOL, alloc=Non
         comp = abs(float(np.sum(y_mat.conj() * alloc.W[k]).real))
         scale_y = max(np.abs(solver_y[k]).max(), np.abs(y_mat).max(), 1e-300)
         consistency[k] = float(np.abs(y_mat - solver_y[k]).max()) / scale_y
-
-        # C1 tightness: slack relative to the constraint's own magnitude
-        h = chan.h[k]
-        lhs = float(np.real(h.conj() @ alloc.W[k] @ h)) / gamma_dl[k]
-        rhs = chan.sigma2_dl[k]
-        for i in range(k_users):
-            if i != k:
-                rhs += float(np.real(h.conj() @ alloc.W[i] @ h))
-        if j_users:
-            rhs += float(alloc.P @ np.abs(chan.f[:, k]) ** 2)
-        rhs += float(np.real(h.conj() @ alloc.V @ h))
-        tightness[k] = abs(lhs - rhs) / max(lhs, rhs, 1e-300)
 
         if nonzero:
             user_ok = (

@@ -19,7 +19,6 @@ from .certificates import dual_certificate, rebalance_powers
 from .channel import CONFIG_FIELD_TYPES, SystemConfig, realize, watt2dbm
 from .metrics import evaluate_qos, qos_csv_header, qos_csv_row
 from .problem import (
-    allocation_to_blocks,
     build_baseline_problem,
     build_hd_problem,
     build_optimal_problem,
@@ -48,7 +47,7 @@ class TrialResult:
     objective_dbm: float
     dl_power_w: float              # beams plus artificial noise
     ul_powers_w: tuple
-    min_margin: float              # worst normalized constraint slack
+    min_margin: float              # worst slack / activity over rows C1-C5
     qos: Optional[object]          # QosReport for solved trials
     rank: Optional[object]         # RankReport for solved trials
     hd_precheck_infeasible: Optional[bool]
@@ -111,25 +110,17 @@ def hd_precheck_fires(chan, cfg, receivers):
     return False
 
 
-def _normalized_min_margin(problem, values):
-    """Worst slack normalized by each constraint's term magnitudes."""
-    worst = np.inf
-    for con in problem.constraints:
-        val = problem.constraint_value(con, values)
-        slack = val - con.constant if con.sense == ">=" else con.constant - val
-        scale = max(problem.row_activity(con, values), 1e-300)
-        worst = min(worst, slack / scale)
-    return float(worst)
-
-
 def evaluate_instance(cfg, seed, scheme, solver_options=None):
     """Build, solve, recover, polish, and certify one instance.
 
     Returns a namespace with the full intermediate products; run_trial
     condenses it into a TrialResult row. After rank-one extraction the DL
     beam powers are rebalanced so every DL SINR target is exactly tight,
-    which only reduces radiated power; the polish is dropped if it would
-    degrade any constraint margin.
+    which only reduces radiated power. The polished allocation is kept
+    when its worst row margin (slack / activity of the physical rows
+    C1-C5, :meth:`fdsec.metrics.Margins.worst`) is at least -2e-7; else
+    the raw solver point is. ``min_margin`` is that margin of the kept
+    allocation.
     """
     from types import SimpleNamespace
 
@@ -154,20 +145,19 @@ def evaluate_instance(cfg, seed, scheme, solver_options=None):
     if scheme == "hd" or report.status != "optimal":
         return out
 
-    alloc = recover_allocation(report.primal, vmap, receivers)
-    min_margin = _normalized_min_margin(problem, report.primal)
-    repair = {"optimal": "free", "hd": "none"}.get(scheme, "scale")
-    polished = rebalance_powers(alloc, chan, cfg, an_repair=repair)
-    if polished is not None:
-        p_margin = _normalized_min_margin(problem, allocation_to_blocks(polished, vmap))
-        # the polish pins the target constraints exactly; tolerate only an
-        # eps-level wobble on the remaining families
-        if p_margin >= -2e-7:
-            alloc, min_margin = polished, p_margin
-    out.alloc = alloc
-    out.min_margin = min_margin
-    out.qos = evaluate_qos(alloc, chan, cfg)
-    out.rank = dual_certificate(report, chan, cfg, receivers, vmap, alloc=alloc)
+    raw = recover_allocation(report.primal, vmap, receivers)
+    polished = rebalance_powers(raw, chan, cfg,
+                                an_repair="free" if scheme == "optimal" else "scale")
+    qos = None if polished is None else evaluate_qos(polished, chan, cfg)
+    # the polish pins the target constraints exactly; tolerate only an
+    # eps-level wobble on the remaining families
+    if qos is not None and qos.margins.worst() >= -2e-7:
+        out.alloc = polished
+    else:
+        out.alloc, qos = raw, evaluate_qos(raw, chan, cfg)
+    out.qos = qos
+    out.min_margin = qos.margins.worst()
+    out.rank = dual_certificate(report, chan, cfg, receivers, vmap, alloc=out.alloc)
     return out
 
 
@@ -302,7 +292,7 @@ def sweep(spec):
 
 @dataclass(frozen=True)
 class SummaryRow:
-    group: tuple
+    scheme: str
     count: int
     mean_dbm: float
     half_width_dbm: float          # 95% t-interval half width
@@ -331,7 +321,7 @@ def summarize(results, confidence=0.95):
         else:
             mean = half = mean_w = float("nan")
         rows.append(SummaryRow(
-            group=(scheme,), count=len(rows_g), mean_dbm=mean,
+            scheme=scheme, count=len(rows_g), mean_dbm=mean,
             half_width_dbm=half, mean_w=mean_w,
             feasibility_rate=len(feas) / len(rows_g),
         ))
@@ -422,7 +412,7 @@ def write_summary(path, rows):
         fh.write(f"{'scheme':<12} {'trials':>7} {'feas_rate':>10} "
                  f"{'mean_dbm':>12} {'ci95_half':>10} {'mean_w':>14}\n")
         for r in rows:
-            fh.write(f"{r.group[0]:<12} {r.count:>7d} {r.feasibility_rate:>10.3f} "
+            fh.write(f"{r.scheme:<12} {r.count:>7d} {r.feasibility_rate:>10.3f} "
                      f"{r.mean_dbm:>12.4f} {r.half_width_dbm:>10.4f} {r.mean_w:>14.6e}\n")
 
 

@@ -1,20 +1,21 @@
-"""QoS evaluation for a candidate allocation.
+"""QoS evaluation for a candidate allocation: the one post-solve row model.
 
 Everything is computed in covariance (trace) form so relaxed solutions of
 any rank remain evaluable; extracted rank-one beamformers are carried
 alongside when available. Eavesdropper SINRs use the worst-case upper
 bounds (interference-free denominators) that the optimization constrains.
+
+One vectorized pass, :func:`quad_table`, computes every quadratic form and
+gain that the QoS rows C1-C5 read. The SINRs, the eavesdropper bounds, the
+secrecy rates and the row margins with their activities all come from that
+table, and so do the power polish and the C1 tightness of
+:mod:`fdsec.certificates`.
 """
 
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-
-
-def quad_form(vec, mat):
-    """Real value of vec^H M vec for Hermitian M."""
-    return float(np.real(vec.conj() @ mat @ vec))
 
 
 @dataclass(frozen=True)
@@ -41,17 +42,24 @@ class Allocation:
 
 @dataclass(frozen=True)
 class Margins:
-    """Signed slack per constraint; nonnegative means satisfied."""
+    """Signed slack per constraint; nonnegative means satisfied.
+
+    ``activity`` holds, in the same shapes, each row's sum of the
+    magnitudes of its terms: the natural scale of its slack.
+    """
 
     c1: np.ndarray  # (K,)   DL SINR targets
     c2: np.ndarray  # (J,)   UL SINR targets
     c3: np.ndarray  # (M, K) DL eavesdropper caps
     c4: np.ndarray  # (M, J) UL eavesdropper caps
     c5: np.ndarray  # (J,)   UL power nonnegativity
+    activity: tuple  # (a1, a2, a3, a4, a5)
 
     def worst(self):
-        parts = [m.min() for m in (self.c1, self.c2, self.c3, self.c4, self.c5) if m.size]
-        return min(parts) if parts else 0.0
+        """Worst slack / activity over all rows (0.0 when there is none)."""
+        slack = np.concatenate([np.ravel(c) for c in (self.c1, self.c2, self.c3, self.c4, self.c5)])
+        scale = np.concatenate([np.ravel(a) for a in self.activity])
+        return float((slack / np.maximum(scale, 1e-300)).min()) if slack.size else 0.0
 
 
 @dataclass(frozen=True)
@@ -66,68 +74,118 @@ class QosReport:
     margins: Margins
 
 
-def _si_vector(j, alloc, chan):
-    """Self-interference direction H_SI^H r_j seen by receiver j."""
-    return chan.h_si.conj().T @ alloc.receivers.r[j]
+def link_vectors(chan, receivers):
+    """(K+J, N) rows through which the links hear the BS transmission.
+
+    Rows h_1..h_K of the DL users, then the self-interference directions
+    a_j = H_SI^H r_j of the UL receivers: link r hears a covariance X as
+    v_r^H X v_r.
+    """
+    return np.vstack([chan.h, receivers.r @ chan.h_si.conj()])
+
+
+def quad_forms(vecs, mats):
+    """Re(v_a^H M_b v_a) for rows v_a of ``vecs`` and matrices M_b: shape (a, b)."""
+    return np.einsum("ban,an->ab", vecs.conj() @ mats, vecs).real
+
+
+@dataclass(frozen=True)
+class QuadTable:
+    """Every term of the QoS rows C1-C5 of one allocation.
+
+    Links r = 0..K+J-1 are the K DL users, then the J UL receivers; idle
+    users are m = 0..M-1. In x = (1, ..., 1, P), beam terms carry their
+    matrix's power and UL terms are per watt. Link r receives own[r] * x_r
+    of signal, cross[r] @ x of interference, an[r] of artificial noise and
+    noise[r] of receiver noise. Idle user m hears eve[m, r] * x_r of link
+    r's message over eve_an[m] + eve_noise[m].
+    """
+
+    own: np.ndarray        # (K+J,)
+    cross: np.ndarray      # (K+J, K+J), zero diagonal
+    an: np.ndarray         # (K+J,)
+    noise: np.ndarray      # (K+J,)
+    eve: np.ndarray        # (M, K+J)
+    eve_an: np.ndarray     # (M,)
+    eve_noise: np.ndarray  # (M,)
+    x: np.ndarray          # (K+J,)
+    k_users: int
+
+    def sinrs(self):
+        """Receive SINR of every link, (K+J,)."""
+        return self.own * self.x / (self.cross @ self.x + self.an + self.noise)
+
+    def eve_bounds(self):
+        """Worst-case eavesdropper SINR bounds, (M, K+J)."""
+        return self.eve * self.x / (self.eve_an + self.eve_noise)[:, np.newaxis]
+
+    def margins(self, cfg):
+        """Slack and activity of every row C1-C5."""
+        k = self.k_users
+        targets = np.concatenate([cfg.dl_sinr_targets, cfg.ul_sinr_targets])
+        signal = self.own * self.x / targets
+        terms = self.cross * self.x
+        s12 = signal - (terms.sum(axis=1) + self.an + self.noise)
+        a12 = np.abs(signal) + np.abs(terms).sum(axis=1) + np.abs(self.an) + self.noise
+        leak = self.eve * self.x / cfg.eve_sinr_cap
+        s34 = (self.eve_an + self.eve_noise)[:, np.newaxis] - leak
+        a34 = (np.abs(self.eve_an) + self.eve_noise)[:, np.newaxis] + np.abs(leak)
+        p = self.x[k:]
+        return Margins(c1=s12[:k], c2=s12[k:], c3=s34[:, :k], c4=s34[:, k:], c5=p.copy(),
+                       activity=(a12[:k], a12[k:], a34[:, :k], a34[:, k:], np.abs(p)))
+
+
+def quad_table(alloc, chan):
+    """The :class:`QuadTable` of an allocation, in one vectorized pass."""
+    k, n = len(alloc.W), chan.h.shape[1]
+    r = alloc.receivers.r
+    links = link_vectors(chan, alloc.receivers)
+    w = np.array(alloc.W).reshape(-1, n, n)
+    v = np.asarray(alloc.V)[np.newaxis]
+    gains = np.abs(chan.g.conj() @ r.T) ** 2              # [i, j] = |g_i^H r_j|^2
+    cross = np.hstack([quad_forms(links, w), np.vstack([np.abs(chan.f.T) ** 2, gains.T])])
+    own = np.diag(cross).copy()
+    np.fill_diagonal(cross, 0.0)
+    return QuadTable(
+        own=own, cross=cross, an=quad_forms(links, v)[:, 0],
+        noise=np.concatenate([chan.sigma2_dl, chan.sigma2_bs * np.linalg.norm(r, axis=1) ** 2]),
+        eve=np.hstack([quad_forms(chan.l, w), np.abs(chan.t.T) ** 2]),
+        eve_an=quad_forms(chan.l, v)[:, 0], eve_noise=chan.sigma2_eve,
+        x=np.concatenate([np.ones(k), alloc.P]), k_users=k,
+    )
 
 
 def dl_sinr(k, alloc, chan):
     """Receive SINR at DL user k, covariance form."""
-    h = chan.h[k]
-    signal = quad_form(h, alloc.W[k])
-    interference = sum(quad_form(h, alloc.W[i]) for i in range(len(alloc.W)) if i != k)
-    interference += float(alloc.P @ (np.abs(chan.f[:, k]) ** 2))
-    interference += quad_form(h, alloc.V)
-    return signal / (interference + chan.sigma2_dl[k])
+    return float(quad_table(alloc, chan).sinrs()[k])
 
 
 def ul_sinr(j, alloc, chan):
     """Receive SINR of UL user j at the BS for the configured receivers."""
-    r = alloc.receivers.r[j]
-    gains = np.abs(chan.g.conj() @ r) ** 2  # |g_i^H r_j|^2
-    signal = alloc.P[j] * gains[j]
-    interference = float(np.delete(alloc.P * gains, j).sum())
-    a = _si_vector(j, alloc, chan)
-    interference += sum(quad_form(a, w) for w in alloc.W) + quad_form(a, alloc.V)
-    noise = chan.sigma2_bs * float(np.linalg.norm(r) ** 2)
-    return signal / (interference + noise)
+    return float(quad_table(alloc, chan).sinrs()[len(alloc.W) + j])
 
 
 def eve_dl_sinr_ub(m, k, alloc, chan):
     """Worst-case bound on idle user m's SINR for DL user k's message."""
-    l_vec = chan.l[m]
-    return quad_form(l_vec, alloc.W[k]) / (quad_form(l_vec, alloc.V) + chan.sigma2_eve[m])
+    return float(quad_table(alloc, chan).eve_bounds()[m, k])
 
 
 def eve_ul_sinr_ub(m, j, alloc, chan):
     """Worst-case bound on idle user m's SINR for UL user j's message."""
-    l_vec = chan.l[m]
-    num = alloc.P[j] * abs(chan.t[j, m]) ** 2
-    return num / (quad_form(l_vec, alloc.V) + chan.sigma2_eve[m])
+    return float(quad_table(alloc, chan).eve_bounds()[m, len(alloc.W) + j])
+
+
+def _secrecy(sinrs, eve_bounds):
+    """Nonnegative secrecy rate of every link against its best eavesdropper."""
+    eve = np.log2(1.0 + eve_bounds.max(axis=0, initial=0.0))
+    return np.maximum(np.log2(1.0 + sinrs) - eve, 0.0)
 
 
 def secrecy_rates(alloc, chan):
     """Nonnegative DL and UL secrecy rates against the best eavesdropper."""
-    k_users = len(alloc.W)
-    j_users = alloc.P.size
-    m_users = chan.l.shape[0]
-    dl = np.empty(k_users)
-    for k in range(k_users):
-        legit = np.log2(1.0 + dl_sinr(k, alloc, chan))
-        eve = max(
-            (np.log2(1.0 + eve_dl_sinr_ub(m, k, alloc, chan)) for m in range(m_users)),
-            default=0.0,
-        )
-        dl[k] = max(legit - eve, 0.0)
-    ul = np.empty(j_users)
-    for j in range(j_users):
-        legit = np.log2(1.0 + ul_sinr(j, alloc, chan))
-        eve = max(
-            (np.log2(1.0 + eve_ul_sinr_ub(m, j, alloc, chan)) for m in range(m_users)),
-            default=0.0,
-        )
-        ul[j] = max(legit - eve, 0.0)
-    return dl, ul
+    table = quad_table(alloc, chan)
+    rates = _secrecy(table.sinrs(), table.eve_bounds())
+    return rates[:table.k_users], rates[table.k_users:]
 
 
 def objective(alloc, cfg):
@@ -137,61 +195,22 @@ def objective(alloc, cfg):
 
 
 def constraint_margins(alloc, chan, cfg):
-    """Signed slacks of the QoS constraint system at this allocation."""
-    k_users, j_users, m_users = len(alloc.W), alloc.P.size, chan.l.shape[0]
-    gamma_dl = cfg.dl_sinr_targets
-    gamma_ul = cfg.ul_sinr_targets
-    gamma_tol = cfg.eve_sinr_cap
-
-    c1 = np.empty(k_users)
-    for k in range(k_users):
-        h = chan.h[k]
-        others = sum(quad_form(h, alloc.W[i]) for i in range(k_users) if i != k)
-        others += float(alloc.P @ (np.abs(chan.f[:, k]) ** 2)) if j_users else 0.0
-        others += quad_form(h, alloc.V) + chan.sigma2_dl[k]
-        c1[k] = quad_form(h, alloc.W[k]) / gamma_dl[k] - others
-
-    c2 = np.empty(j_users)
-    for j in range(j_users):
-        r = alloc.receivers.r[j]
-        gains = np.abs(chan.g.conj() @ r) ** 2
-        a = _si_vector(j, alloc, chan)
-        others = float(np.delete(alloc.P * gains, j).sum())
-        others += sum(quad_form(a, w) for w in alloc.W) + quad_form(a, alloc.V)
-        others += chan.sigma2_bs * float(np.linalg.norm(r) ** 2)
-        c2[j] = alloc.P[j] * gains[j] / gamma_ul[j] - others
-
-    c3 = np.empty((m_users, k_users))
-    c4 = np.empty((m_users, j_users))
-    for m in range(m_users):
-        l_vec = chan.l[m]
-        an_floor = quad_form(l_vec, alloc.V) + chan.sigma2_eve[m]
-        for k in range(k_users):
-            c3[m, k] = an_floor - quad_form(l_vec, alloc.W[k]) / gamma_tol
-        for j in range(j_users):
-            c4[m, j] = an_floor - alloc.P[j] * abs(chan.t[j, m]) ** 2 / gamma_tol
-
-    c5 = alloc.P.copy()
-    return Margins(c1=c1, c2=c2, c3=c3, c4=c4, c5=c5)
+    """Signed slacks and activities of the QoS constraint system."""
+    return quad_table(alloc, chan).margins(cfg)
 
 
 def evaluate_qos(alloc, chan, cfg):
     """Full QoS report for one allocation."""
-    k_users, j_users, m_users = len(alloc.W), alloc.P.size, chan.l.shape[0]
-    dl_secrecy, ul_secrecy = secrecy_rates(alloc, chan)
+    table = quad_table(alloc, chan)
+    k = table.k_users
+    sinrs, eve = table.sinrs(), table.eve_bounds()
+    rates = _secrecy(sinrs, eve)
     return QosReport(
-        dl_sinr=np.array([dl_sinr(k, alloc, chan) for k in range(k_users)]),
-        ul_sinr=np.array([ul_sinr(j, alloc, chan) for j in range(j_users)]),
-        eve_dl_sinr_ub=np.array(
-            [[eve_dl_sinr_ub(m, k, alloc, chan) for k in range(k_users)] for m in range(m_users)]
-        ).reshape(m_users, k_users),
-        eve_ul_sinr_ub=np.array(
-            [[eve_ul_sinr_ub(m, j, alloc, chan) for j in range(j_users)] for m in range(m_users)]
-        ).reshape(m_users, j_users),
-        dl_secrecy=dl_secrecy,
-        ul_secrecy=ul_secrecy,
+        dl_sinr=sinrs[:k], ul_sinr=sinrs[k:],
+        eve_dl_sinr_ub=eve[:, :k], eve_ul_sinr_ub=eve[:, k:],
+        dl_secrecy=rates[:k], ul_secrecy=rates[k:],
         objective=objective(alloc, cfg),
-        margins=constraint_margins(alloc, chan, cfg),
+        margins=table.margins(cfg),
     )
 
 
@@ -204,7 +223,6 @@ def qos_csv_header(k_users, j_users, m_users):
     cols += [f"eve_ul_ub_{m}_{j}" for m in range(m_users) for j in range(j_users)]
     cols += [f"dl_secrecy_{k}" for k in range(k_users)]
     cols += [f"ul_secrecy_{j}" for j in range(j_users)]
-    cols += ["objective_w", "min_margin"]
     return cols
 
 
@@ -217,5 +235,4 @@ def qos_csv_row(report):
     vals += list(report.eve_ul_sinr_ub.ravel())
     vals += list(report.dl_secrecy)
     vals += list(report.ul_secrecy)
-    vals += [report.objective, report.margins.worst()]
     return vals

@@ -82,15 +82,6 @@ class ConicProblem:
             acc += float(np.sum(c * values.psd[b]))
         return acc
 
-    def row_activity(self, con, values):
-        """Sum of absolute term magnitudes; the natural scale for slacks."""
-        acc = abs(con.constant)
-        if self.orthant_dim:
-            acc += float(np.abs(con.orthant_coeffs * values.orthant).sum())
-        for b, c in con.psd_coeffs.items():
-            acc += abs(float(np.sum(c * values.psd[b])))
-        return acc
-
     def slacks(self, values):
         """Signed slack per constraint (nonnegative means satisfied)."""
         out = np.empty(len(self.constraints))

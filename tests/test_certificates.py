@@ -10,7 +10,7 @@ from fdsec.certificates import (
     rebalance_powers,
 )
 from fdsec.channel import SystemConfig, realize
-from fdsec.metrics import constraint_margins, quad_form
+from fdsec.metrics import constraint_margins
 from fdsec.problem import (
     allocation_to_blocks,
     build_baseline_problem,
@@ -148,13 +148,14 @@ class TestSolvedInstances:
 def assert_pinned_and_capped(prob, vmap, chan, cfg, polished):
     """C1/C2 met with equality to row scale, every C3/C4 cap held."""
     values = allocation_to_blocks(polished, vmap)
-    for label, row in vmap.rows("C1") + vmap.rows("C2"):
+    margins = constraint_margins(polished, chan, cfg)
+    activity = np.concatenate(margins.activity[:2])
+    for (label, row), scale in zip(vmap.rows("C1") + vmap.rows("C2"), activity):
         con = prob.constraints[row]
         slack = prob.constraint_value(con, values) - con.constant
-        assert abs(slack) <= 1e-12 * prob.row_activity(con, values), label
-    margins = constraint_margins(polished, chan, cfg)
-    caps = np.array([chan.sigma2_eve[m] + quad_form(chan.l[m], polished.V)
-                     for m in range(cfg.n_idle)])
+        assert abs(slack) <= 1e-12 * scale, label
+    caps = np.array([chan.sigma2_eve[m] + np.real(l_vec.conj() @ polished.V @ l_vec)
+                     for m, l_vec in enumerate(chan.l)])
     assert np.all(margins.c3 >= -CAP_TOL * caps[:, np.newaxis])
     assert np.all(margins.c4 >= -CAP_TOL * caps[:, np.newaxis])
 

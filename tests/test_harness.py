@@ -225,7 +225,10 @@ class TestFiles:
         assert len(rows) == 4
         assert set(r["scheme"] for r in rows) == {"optimal", "hd"}
         header = trial_csv_header(SMALL)
+        assert len(set(header)) == len(header)
         assert len(trial_csv_row(results[0], SMALL)) == len(header)
+        for row, result in zip(rows, results):
+            assert float(row["min_margin"]) == pytest.approx(result.min_margin, nan_ok=True)
 
     def test_config_round_trip(self, tmp_path):
         buf = io.StringIO()

@@ -288,5 +288,7 @@ class TestObjectiveAndMargins:
         header = qos_csv_header(k, j, m)
         row = qos_csv_row(report)
         assert len(header) == len(row)
-        assert header[-2] == "objective_w"
-        assert row[header.index("objective_w")] == pytest.approx(objective(alloc, cfg))
+        # objective and margin are columns of the trial row, not of the QoS block
+        assert not {"objective_w", "min_margin"} & set(header)
+        assert row[header.index("eve_ul_ub_1_0")] == report.eve_ul_sinr_ub[1, 0]
+        assert row[header.index("dl_secrecy_1")] == report.dl_secrecy[1]

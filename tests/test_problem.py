@@ -1,7 +1,10 @@
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fdsec.channel import SystemConfig, realize
 from fdsec.linalg import eigvals_herm
@@ -79,6 +82,16 @@ class TestCounting:
             build_optimal_problem(chan, other, rec)
 
 
+def embedded_activity(prob, values):
+    """Reference row activity on the embedded blocks: |constant| plus the
+    magnitude of every block and orthant term."""
+    out = np.empty(len(prob.constraints))
+    for i, con in enumerate(prob.constraints):
+        out[i] = abs(con.constant) + float(np.abs(con.orthant_coeffs * values.orthant).sum())
+        out[i] += sum(abs(float(np.sum(c * values.psd[b]))) for b, c in con.psd_coeffs.items())
+    return out
+
+
 class TestFunctionalEquality:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_slacks_match_margins(self, seed):
@@ -95,6 +108,42 @@ class TestFunctionalEquality:
         )
         scale = np.maximum(np.abs(analytic), np.abs(slacks)) + 1e-300
         assert np.max(np.abs(slacks - analytic) / np.maximum(scale, 1e-18)) <= 1e-9
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(dims=st.integers(2, 6).flatmap(lambda n: st.tuples(
+               st.just(n), st.integers(1, 3), st.integers(0, n - 1), st.integers(0, n - 1))),
+           seed=st.integers(0, 2**16), an_mode=st.sampled_from(["matrix", "direction", "none"]))
+    @example(dims=(6, 3, 2, 2), seed=0, an_mode="matrix")
+    @example(dims=(4, 2, 0, 2), seed=0, an_mode="matrix")     # J = 0
+    @example(dims=(4, 2, 2, 0), seed=1, an_mode="direction")  # M = 0
+    @example(dims=(4, 1, 1, 1), seed=2, an_mode="none")       # K = 1
+    @example(dims=(3, 2, 2, 1), seed=3, an_mode="matrix")     # N = J + 1
+    def test_slacks_match_margins_all_shapes(self, dims, seed, an_mode):
+        # the physical rows C1-C5 of fdsec.metrics against the conic rows
+        # they must equal, for each representation of the AN covariance
+        n, k, j, m = dims
+        cfg = SystemConfig(n_antennas=n, n_dl=k, n_ul=j, n_idle=m)
+        chan, rec = scenario(cfg, seed)
+        alloc = random_rank_one_alloc(np.random.default_rng(seed), cfg, rec)
+        if an_mode == "matrix":
+            prob, vmap = build_optimal_problem(chan, cfg, rec)
+        elif an_mode == "direction":
+            prob, vmap = build_baseline_problem(chan, cfg, rec, "baseline1")
+            alloc = replace(alloc, V=np.trace(alloc.V).real * vmap.v_direction)
+        else:
+            prob, vmap = build_hd_problem(chan, cfg, rec)
+            alloc = replace(alloc, V=np.zeros((n, n), dtype=complex))
+        values = allocation_to_blocks(alloc, vmap)
+        margins = constraint_margins(alloc, chan, cfg)
+        assert [c.shape for c in (margins.c1, margins.c2, margins.c3, margins.c4, margins.c5)] \
+            == [(k,), (j,), (m, k), (m, j), (j,)]
+        assert [a.shape for a in margins.activity] == [(k,), (j,), (m, k), (m, j), (j,)]
+        slacks = np.concatenate([np.ravel(c) for c in
+                                 (margins.c1, margins.c2, margins.c3, margins.c4, margins.c5)])
+        activity = np.concatenate([np.ravel(a) for a in margins.activity])
+        reference = embedded_activity(prob, values)
+        assert np.all(np.abs(slacks - prob.slacks(values)) <= 1e-12 * reference)
+        assert np.all(np.abs(activity - reference) <= 1e-12 * reference)
 
     def test_objective_matches_metrics(self):
         rng = np.random.default_rng(7)

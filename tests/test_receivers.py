@@ -72,7 +72,7 @@ class TestZfReceivers:
         rec = zf_receivers(np.zeros((0, 4), dtype=complex))
         assert rec.count == 0
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60, deadline=None, derandomize=True)
     @given(shape=st.integers(1, 12).flatmap(lambda n: st.tuples(st.integers(1, n), st.just(n))),
            seed=st.integers(0, 2**32 - 1), scale_exp=st.integers(-6, 2))
     @example(shape=(12, 12), seed=0, scale_exp=-6)
