@@ -15,7 +15,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .linalg import eigvals_herm, herm_eig
-from .metrics import Allocation, link_vectors, quad_forms, quad_table
+from .metrics import Allocation, link_model, quad_forms, quad_table
 from .problem import recover_allocation, recover_duals
 
 RANK_TOL = 1e-6
@@ -66,7 +66,7 @@ class RankReport:
         }
 
 
-def extract_beamformer(w_mat, tol=RANK_TOL):
+def extract_beamformer(w_mat):
     """Leading-eigenpair beamformer when the matrix is numerically rank one.
 
     The returned vector is scaled by the square root of the leading
@@ -75,13 +75,13 @@ def extract_beamformer(w_mat, tol=RANK_TOL):
     """
     vals, vecs = herm_eig(w_mat)
     lead = vals[0]
-    if vals[-1] < -tol * max(lead, 1.0) - 1e-12:
+    if vals[-1] < -RANK_TOL * max(lead, 1.0) - 1e-12:
         raise NotPsdError(f"matrix has eigenvalue {vals[-1]:.3e}")
     if lead <= 0.0:
         return BeamformerExtraction(w=np.zeros(w_mat.shape[0], dtype=complex),
                                     eigenvalues=vals, ratio=0.0)
     ratio = max(vals[1], 0.0) / lead if len(vals) > 1 else 0.0
-    if ratio > tol:
+    if ratio > RANK_TOL:
         return BeamformerExtraction(w=None, eigenvalues=vals, ratio=ratio)
     w = np.sqrt(lead) * vecs[:, 0]
     pivot = int(np.argmax(np.abs(w)))
@@ -154,7 +154,7 @@ def _patch_coefficients(s0, s1, leak, cap0, loads, cost):
     return None
 
 
-def rebalance_powers(alloc, chan, cfg, tol=RANK_TOL, an_repair="free"):
+def rebalance_powers(alloc, chan, cfg, an_repair="free"):
     """Exact power polish along the extracted beam directions.
 
     With beam directions fixed, the DL and UL SINR targets are linear in
@@ -177,7 +177,7 @@ def rebalance_powers(alloc, chan, cfg, tol=RANK_TOL, an_repair="free"):
     k_users = len(alloc.W)
     directions = []
     for w_mat in alloc.W:
-        ext = extract_beamformer(w_mat, tol)
+        ext = extract_beamformer(w_mat)
         if not ext.rank_one:
             return None
         norm = np.linalg.norm(ext.w)
@@ -185,25 +185,19 @@ def rebalance_powers(alloc, chan, cfg, tol=RANK_TOL, an_repair="free"):
             return None
         directions.append(ext.w / norm)
 
+    model = link_model(chan, alloc.receivers)
     unit = quad_table(Allocation(W=tuple(np.outer(d, d.conj()) for d in directions),
-                                 V=alloc.V, P=alloc.P, receivers=alloc.receivers), chan)
+                                 V=alloc.V, P=alloc.P, receivers=alloc.receivers), model)
     targets = np.concatenate([cfg.dl_sinr_targets, cfg.ul_sinr_targets])
-    base = np.diag(unit.own / targets) - unit.cross
-    base_rhs = unit.an + unit.noise
+    # C1 rows are about 1e-9 and C2 rows about 0.1 in size: divide each row
+    # of the system by its diagonal (own signal / target > 0) before solving
+    diag = unit.own / targets
+    base = np.eye(diag.size) - unit.cross / diag[:, np.newaxis]
     # leakage coefficients: cap of eavesdropper m must cover every term
     leak = unit.eve / cfg.eve_sinr_cap
 
-    def solve_refined(mat, vec):
-        sol = np.linalg.solve(mat, vec)
-        for _ in range(3):  # refinement; the data mixes very unequal scales
-            resid = vec - mat @ sol
-            if np.abs(resid).max() <= 1e-16 * max(np.abs(vec).max(), 1e-300):
-                break
-            sol = sol + np.linalg.solve(mat, resid)
-        return sol
-
     try:
-        s0 = solve_refined(base, base_rhs)
+        s0 = np.linalg.solve(base, (unit.an + unit.noise) / diag)
     except np.linalg.LinAlgError:
         return None
     if np.any(s0 <= 0.0) or not np.all(np.isfinite(s0)):
@@ -212,19 +206,15 @@ def rebalance_powers(alloc, chan, cfg, tol=RANK_TOL, an_repair="free"):
     cap0 = unit.eve_noise + unit.eve_an
     powers, v_mat = s0, alloc.V
     if leak.size and float(((leak * s0).max(axis=1) / cap0).max()) - 1.0 > CAP_TOL:
-        links = link_vectors(chan, alloc.receivers)
         if an_repair == "free":
-            patches = _an_patch_matrices(chan, links[k_users:])
+            patches = _an_patch_matrices(chan, model.vecs[k_users:])
         else:
             tr_v = float(np.trace(alloc.V).real)
             patches = [alloc.V / tr_v] if tr_v > 0.0 else []
         if not patches:
             return None
-        loads = quad_forms(chan.l, np.array(patches))
-        try:
-            s1 = solve_refined(base, quad_forms(links, np.array(patches)))
-        except np.linalg.LinAlgError:
-            return None
+        loads = quad_forms(model.eves, np.array(patches))
+        s1 = np.linalg.solve(base, quad_forms(model.vecs, np.array(patches)) / diag[:, np.newaxis])
         weights = np.concatenate([np.full(k_users, cfg.alpha), np.full(alloc.P.size, cfg.beta)])
         cost = weights @ s1 + cfg.alpha  # the patches are unit trace
         eps = _patch_coefficients(s0, s1, leak, cap0, loads, cost)
@@ -241,7 +231,7 @@ def rebalance_powers(alloc, chan, cfg, tol=RANK_TOL, an_repair="free"):
                   for p, d in zip(powers[:k_users], directions))
     polished = Allocation(W=w_new, V=v_mat, P=powers[k_users:], receivers=alloc.receivers)
     if v_mat is not alloc.V:
-        table = quad_table(polished, chan)
+        table = quad_table(polished, model)
         margins = table.margins(cfg)
         caps = (table.eve_noise + table.eve_an)[:, np.newaxis]
         if float((np.hstack([margins.c3, margins.c4]) / caps).min(initial=0.0)) < -CAP_TOL_FALLBACK:
@@ -249,43 +239,48 @@ def rebalance_powers(alloc, chan, cfg, tol=RANK_TOL, an_repair="free"):
     return polished
 
 
-def dual_certificate(report, chan, cfg, receivers, vmap, tol=RANK_TOL, alloc=None):
+def dual_certificate(report, chan, cfg, receivers, vmap, alloc=None):
     """Verify the tightness structure of a solved instance.
 
-    Rebuilds each beam matrix's dual block from the C1/C2/C3 multipliers,
-    checks that its positive part is positive definite, that exactly one
-    eigenvalue (per active user) vanishes, complementarity with the primal
-    matrix, a strictly positive C1 multiplier, and consistency with the
-    dual block the solver reported. The primal side is ``alloc`` (for
-    example after the power polish), else the solver's own point.
+    Rebuilds each beam matrix's dual block from the multipliers of the
+    link rows (C1, C2) and of C3, checks that its positive part is
+    positive definite, that exactly one eigenvalue (per active user)
+    vanishes, complementarity with the primal matrix, a strictly positive
+    C1 multiplier, and consistency with the dual block the solver
+    reported. The primal side is ``alloc`` (for example after the power
+    polish), else the solver's own point.
     """
     if report.status != "optimal":
         raise CertificateUnavailableError(f"no certificate for status {report.status!r}")
     if report.multipliers is None or not len(report.psd_duals):
         raise CertificateUnavailableError("solver report carries no dual values")
 
-    n, k_users, j_users, m_users = vmap.n, vmap.k_users, vmap.j_users, vmap.m_users
-    gamma_dl = cfg.dl_sinr_targets
-    gamma_tol = cfg.eve_sinr_cap
-
-    delta = np.array([_multiplier(report, vmap, f"C1[{k}]") for k in range(k_users)])
-    gamma_mult = np.array([_multiplier(report, vmap, f"C2[{j}]") for j in range(j_users)])
+    n, k_users, m_users = vmap.n, vmap.k_users, vmap.m_users
+    links = [f"C1[{k}]" for k in range(k_users)] + [f"C2[{j}]" for j in range(vmap.j_users)]
+    mu = np.array([_multiplier(report, vmap, label) for label in links])
     lam = np.array([
         [_multiplier(report, vmap, f"C3[{m},{k}]") for k in range(k_users)]
         for m in range(m_users)
     ]).reshape(m_users, k_users)
+    delta = mu[:k_users]
 
-    h_mats = [np.outer(chan.h[k], chan.h[k].conj()) for k in range(k_users)]
-    l_mats = [np.outer(chan.l[m], chan.l[m].conj()) for m in range(m_users)]
-    si_mats = [np.outer(a, a.conj()) for a in link_vectors(chan, receivers)[k_users:]]
+    # Y_k = alpha I + sum_{r != k} mu_r v_r v_r^H + sum_m lam_mk l_m l_m^H / gamma_tol
+    #       - delta_k h_k h_k^H / gamma_k, and its positive part B_k
+    model = link_model(chan, receivers)
+    v_outer = np.einsum("rn,rp->rnp", model.vecs, model.vecs.conj())
+    l_outer = np.einsum("mn,mp->mnp", model.eves, model.eves.conj())
+    weights = np.where(np.eye(k_users, mu.size, dtype=bool), 0.0, mu)  # [k, r]
+    base = (cfg.alpha * np.eye(n) + np.einsum("kr,rnp->knp", weights, v_outer)
+            + np.einsum("mk,mnp->knp", lam / cfg.eve_sinr_cap, l_outer))
+    y_mats = base - (delta / cfg.dl_sinr_targets)[:, np.newaxis, np.newaxis] * v_outer[:k_users]
 
     if alloc is None:
         alloc = recover_allocation(report.primal, vmap, receivers)
     solver_y = recover_duals(report, vmap)
     # C1 tightness: |lhs - rhs| / max(lhs, rhs), lhs = h^H W_k h / gamma_k
-    table = quad_table(alloc, chan)
+    table = quad_table(alloc, model)
     c1 = table.margins(cfg).c1
-    lhs = table.own[:k_users] / gamma_dl
+    lhs = table.own[:k_users] / cfg.dl_sinr_targets
     tightness = np.abs(c1) / np.maximum(np.maximum(lhs, lhs - c1), 1e-300)
 
     ranks = np.zeros(k_users, dtype=int)
@@ -297,28 +292,19 @@ def dual_certificate(report, chan, cfg, receivers, vmap, tol=RANK_TOL, alloc=Non
     ok = True
     dl_power = sum(float(np.trace(w).real) for w in alloc.W)
 
-    for k in range(k_users):
-        base = cfg.alpha * np.eye(n, dtype=complex)
-        for i in range(k_users):
-            if i != k:
-                base = base + delta[i] * h_mats[i]
-        for j in range(j_users):
-            base = base + gamma_mult[j] * si_mats[j]
-        for m in range(m_users):
-            base = base + lam[m, k] * l_mats[m] / gamma_tol
-        y_mat = base - delta[k] * h_mats[k] / gamma_dl[k]
-
-        b_eigs = eigvals_herm(base)
+    for k, y_mat in enumerate(y_mats):
+        b_eigs = eigvals_herm(base[k])
         b_min[k] = b_eigs[-1]
         y_eigs = eigvals_herm(y_mat)
         y_max = max(y_eigs[0], 1e-300)
-        zero_counts[k] = int(np.sum(np.abs(y_eigs) <= tol * y_max))
-        extraction = extract_beamformer(alloc.W[k], tol)
+        zero_counts[k] = int(np.sum(np.abs(y_eigs) <= RANK_TOL * y_max))
+        extraction = extract_beamformer(alloc.W[k])
         ratios[k] = extraction.ratio
         trace_w = float(np.trace(alloc.W[k]).real)
-        nonzero = trace_w > tol * max(dl_power, 1e-300)
+        nonzero = trace_w > RANK_TOL * max(dl_power, 1e-300)
+        vals = extraction.eigenvalues
         ranks[k] = 0 if not nonzero else (1 if extraction.rank_one else
-                                          int(np.sum(extraction.eigenvalues > tol * extraction.eigenvalues[0])))
+                                          int(np.sum(vals > RANK_TOL * vals[0])))
         w_out.append(extraction.w if nonzero else np.zeros(n, dtype=complex))
 
         comp = abs(float(np.sum(y_mat.conj() * alloc.W[k]).real))
@@ -330,9 +316,9 @@ def dual_certificate(report, chan, cfg, receivers, vmap, tol=RANK_TOL, alloc=Non
                 ranks[k] == 1
                 and b_min[k] > 0.0
                 and zero_counts[k] == 1
-                and comp <= tol * max(trace_w, 1e-300) * max(y_max, 1.0)
+                and comp <= RANK_TOL * max(trace_w, 1e-300) * max(y_max, 1.0)
                 and delta[k] > 0.0
-                and tightness[k] <= tol
+                and tightness[k] <= RANK_TOL
             )
             ok = ok and user_ok
 

@@ -14,6 +14,7 @@ import numpy as np
 log = logging.getLogger(__name__)
 
 SPEED_OF_LIGHT = 3e8
+MAX_RETRIES = 20  # fading draws tried per seed for a well-conditioned UL matrix
 
 
 def db2lin(x_db):
@@ -181,7 +182,7 @@ def _cn(rng, *shape):
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
 
 
-def sample_channels(cfg, geometry, seed, max_retries=20):
+def sample_channels(cfg, geometry, seed):
     """Draw one fading realization for the given geometry.
 
     BS-side links (h, g, l) are Rayleigh with the array gain applied;
@@ -191,7 +192,7 @@ def sample_channels(cfg, geometry, seed, max_retries=20):
     ill-conditioned, which matters only on a probability-zero event.
     """
     n, k, j, m = cfg.n_antennas, cfg.n_dl, cfg.n_ul, cfg.n_idle
-    for attempt in range(max_retries):
+    for attempt in range(MAX_RETRIES):
         rng = np.random.default_rng([int(seed), 1, attempt])
 
         h = np.empty((k, n), dtype=complex)
@@ -233,7 +234,7 @@ def sample_channels(cfg, geometry, seed, max_retries=20):
             h=h, g=g, l=l, f=f, t=t, h_si=h_si,
             sigma2_dl=sigma2_dl, sigma2_bs=sigma2_bs, sigma2_eve=sigma2_eve,
         )
-    raise RuntimeError(f"no well-conditioned UL channels after {max_retries} attempts")
+    raise RuntimeError(f"no well-conditioned UL channels after {MAX_RETRIES} attempts")
 
 
 def realize(cfg, seed):

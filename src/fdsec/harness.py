@@ -17,7 +17,7 @@ from scipy import stats
 
 from .certificates import dual_certificate, rebalance_powers
 from .channel import CONFIG_FIELD_TYPES, SystemConfig, realize, watt2dbm
-from .metrics import evaluate_qos, qos_csv_header, qos_csv_row
+from .metrics import evaluate_qos, link_model, qos_csv_header, qos_csv_row
 from .problem import (
     build_baseline_problem,
     build_hd_problem,
@@ -35,6 +35,9 @@ FAILED_STATUSES = ("numerical_failure", "max_iters")
 # deep final complementarity so rank-one eigenvalue tails and constraint
 # tightness land well inside the certificate tolerances
 TRIAL_SOLVER_OPTIONS = SolverOptions(mu_tol_factor=1e-3)
+
+# level of the t-interval on each scheme's mean power in summary.txt
+CONFIDENCE = 0.95
 
 
 @dataclass(frozen=True)
@@ -91,26 +94,19 @@ class SweepSpec:
 def hd_precheck_fires(chan, cfg, receivers):
     """Analytic infeasibility test for the no-AN probe.
 
-    The UL target forces P_j at least the noise-limited minimum; with no
-    artificial noise the eavesdropper cap bounds P_j above. A crossing
-    proves infeasibility before any solver runs.
+    The UL target forces P_j >= gamma_j noise_j / own_j, its noise-limited
+    minimum; with no artificial noise each eavesdropper cap bounds P_j
+    above by gamma_tol sigma_m / |t_jm|^2. A crossing for any j proves
+    infeasibility before any solver runs.
     """
-    if cfg.n_idle == 0 or cfg.n_ul == 0:
-        return False
-    gamma_ul = cfg.ul_sinr_targets
-    gamma_tol = cfg.eve_sinr_cap
-    for j in range(cfg.n_ul):
-        p_min = gamma_ul[j] * chan.sigma2_bs * float(np.linalg.norm(receivers.r[j]) ** 2)
-        cap = min(
-            gamma_tol * chan.sigma2_eve[m] / abs(chan.t[j, m]) ** 2
-            for m in range(cfg.n_idle)
-        )
-        if p_min > cap:
-            return True
-    return False
+    model = link_model(chan, receivers)
+    k = model.k_users
+    p_min = cfg.ul_sinr_targets * model.noise[k:] / model.ul[k:].diagonal()
+    caps = cfg.eve_sinr_cap * model.eve_noise[:, np.newaxis] / model.eve_ul
+    return bool(np.any(p_min > caps.min(axis=0, initial=np.inf)))
 
 
-def evaluate_instance(cfg, seed, scheme, solver_options=None):
+def evaluate_instance(cfg, seed, scheme):
     """Build, solve, recover, polish, and certify one instance.
 
     Returns a namespace with the full intermediate products; run_trial
@@ -135,7 +131,7 @@ def evaluate_instance(cfg, seed, scheme, solver_options=None):
     else:
         problem, vmap = build_baseline_problem(chan, cfg, receivers, scheme)
 
-    report = solve(problem, solver_options or TRIAL_SOLVER_OPTIONS)
+    report = solve(problem, TRIAL_SOLVER_OPTIONS)
     out = SimpleNamespace(
         cfg=cfg, seed=seed, scheme=scheme, geometry=geometry, chan=chan,
         receivers=receivers, problem=problem, vmap=vmap, report=report,
@@ -161,9 +157,9 @@ def evaluate_instance(cfg, seed, scheme, solver_options=None):
     return out
 
 
-def run_trial(cfg, seed, scheme, solver_options=None, trial_id=0):
+def run_trial(cfg, seed, scheme, trial_id=0):
     """Full pipeline for one (config, seed, scheme) task."""
-    inst = evaluate_instance(cfg, seed, scheme, solver_options)
+    inst = evaluate_instance(cfg, seed, scheme)
     report = inst.report
     if inst.alloc is None:
         return TrialResult(
@@ -300,8 +296,8 @@ class SummaryRow:
     feasibility_rate: float
 
 
-def summarize(results, confidence=0.95):
-    """Aggregate trial results by scheme with t-confidence intervals."""
+def summarize(results):
+    """Aggregate trial results by scheme with CONFIDENCE t-intervals."""
     groups = {}
     for r in results:
         groups.setdefault(r.scheme, []).append(r)
@@ -313,7 +309,7 @@ def summarize(results, confidence=0.95):
             dbm = np.array([r.objective_dbm for r in feas])
             mean = float(dbm.mean())
             if len(dbm) > 1 and dbm.std(ddof=1) > 0:
-                half = float(stats.t.ppf(0.5 + confidence / 2, len(dbm) - 1)
+                half = float(stats.t.ppf(0.5 + CONFIDENCE / 2, len(dbm) - 1)
                              * dbm.std(ddof=1) / np.sqrt(len(dbm)))
             else:
                 half = 0.0

@@ -8,9 +8,10 @@ eigendecompositions and the pseudoinverse are LAPACK's, through
 import numpy as np
 
 HERMITIAN_ATOL = 1e-12
+COND_LIMIT = 1e12
 
 
-def check_hermitian(h, atol=HERMITIAN_ATOL):
+def check_hermitian(h):
     """Validate conjugate symmetry (and implicitly a real diagonal)."""
     h = np.asarray(h, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
@@ -18,7 +19,7 @@ def check_hermitian(h, atol=HERMITIAN_ATOL):
     if not np.all(np.isfinite(h.view(float))):
         raise ValueError("matrix has non-finite entries")
     scale = max(1.0, np.abs(h).max())
-    if np.abs(h - h.conj().T).max() > atol * scale:
+    if np.abs(h - h.conj().T).max() > HERMITIAN_ATOL * scale:
         raise ValueError("matrix is not Hermitian within tolerance")
     return h
 
@@ -38,11 +39,11 @@ def eigvals_herm(h):
     return np.linalg.eigvalsh(check_hermitian(h))[::-1]
 
 
-def pseudoinverse_full_col_rank(q, cond_limit=1e12):
+def pseudoinverse_full_col_rank(q):
     """Left pseudoinverse (Q^H Q)^{-1} Q^H of a full-column-rank matrix.
 
     Computed from the thin SVD Q = U S V^H as V S^{-1} U^H; Q is rank
-    deficient when its condition number s_max/s_min exceeds ``cond_limit``.
+    deficient when its condition number s_max/s_min exceeds ``COND_LIMIT``.
     """
     q = np.asarray(q, dtype=complex)
     if q.ndim == 1:
@@ -51,6 +52,6 @@ def pseudoinverse_full_col_rank(q, cond_limit=1e12):
     if rows < cols:
         raise np.linalg.LinAlgError("need at least as many rows as columns")
     u, s, vh = np.linalg.svd(q, full_matrices=False)
-    if s[-1] <= 0.0 or s[0] / s[-1] > cond_limit:
+    if s[-1] <= 0.0 or s[0] / s[-1] > COND_LIMIT:
         raise np.linalg.LinAlgError("matrix is numerically rank deficient")
     return (vh.conj().T / s) @ u.conj().T

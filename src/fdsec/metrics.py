@@ -5,8 +5,13 @@ any rank remain evaluable; extracted rank-one beamformers are carried
 alongside when available. Eavesdropper SINRs use the worst-case upper
 bounds (interference-free denominators) that the optimization constrains.
 
-One vectorized pass, :func:`quad_table`, computes every quadratic form and
-gain that the QoS rows C1-C5 read. The SINRs, the eavesdropper bounds, the
+The rows C1-C5 have two shapes: a link row (own signal over its target
+against interference, AN and noise) and an eavesdropper row (leakage over
+the cap against AN and noise). :func:`link_model` holds their channel
+terms, once per channel and receivers; the conic assembly of
+:mod:`fdsec.problem`, the dual certificate and the half-duplex precheck
+read it. One vectorized pass over it, :func:`quad_table`, computes every
+term of the rows at an allocation. The SINRs, the eavesdropper bounds, the
 secrecy rates and the row margins with their activities all come from that
 table, and so do the power polish and the C1 tightness of
 :mod:`fdsec.certificates`.
@@ -74,14 +79,44 @@ class QosReport:
     margins: Margins
 
 
-def link_vectors(chan, receivers):
-    """(K+J, N) rows through which the links hear the BS transmission.
+@dataclass(frozen=True)
+class LinkModel:
+    """Channel side of the rows C1-C5 for one (channel, receivers) pair.
 
-    Rows h_1..h_K of the DL users, then the self-interference directions
-    a_j = H_SI^H r_j of the UL receivers: link r hears a covariance X as
-    v_r^H X v_r.
+    Links r = 0..K+J-1 are the K DL users, then the J UL receivers; idle
+    users are m = 0..M-1. Link r hears a BS covariance X as v_r^H X v_r
+    and UL user j's power as ul[r, j] per watt (its own signal at
+    r = K + j); idle user m hears X as l_m^H X l_m and UL user j as
+    eve_ul[m, j] per watt.
     """
-    return np.vstack([chan.h, receivers.r @ chan.h_si.conj()])
+
+    vecs: np.ndarray       # (K+J, N) h_k, then a_j = H_SI^H r_j
+    ul: np.ndarray         # (K+J, J) |f_jk|^2, then |g_i^H r_j|^2 at [K + j, i]
+    noise: np.ndarray      # (K+J,) sigma2_dl, then sigma2_bs |r_j|^2
+    eves: np.ndarray       # (M, N) l_m
+    eve_ul: np.ndarray     # (M, J) |t_jm|^2
+    eve_noise: np.ndarray  # (M,)
+    k_users: int
+
+
+def link_model(chan, receivers):
+    """The :class:`LinkModel` of a channel and its UL receivers.
+
+    a_j, |r_j|^2 and |t_jm|^2 are computed one receiver and one scalar at
+    a time: numpy's batched forms round differently in the last bit, and
+    the IPM's iterates follow the last bits of the rows it is given.
+    """
+    r = receivers.r
+    gains = np.abs(chan.g.conj() @ r.T) ** 2              # [i, j] = |g_i^H r_j|^2
+    eve_ul = [[abs(x) ** 2 for x in col] for col in chan.t.T.tolist()]
+    return LinkModel(
+        vecs=np.vstack([chan.h, *(chan.h_si.conj().T @ r_j for r_j in r)]),
+        ul=np.vstack([np.abs(chan.f.T) ** 2, gains.T]),
+        noise=np.concatenate([chan.sigma2_dl,
+                              [chan.sigma2_bs * float(np.linalg.norm(r_j) ** 2) for r_j in r]]),
+        eves=chan.l, eve_ul=np.array(eve_ul).reshape(chan.l.shape[0], r.shape[0]),
+        eve_noise=chan.sigma2_eve, k_users=chan.h.shape[0],
+    )
 
 
 def quad_forms(vecs, mats):
@@ -135,44 +170,44 @@ class QuadTable:
                        activity=(a12[:k], a12[k:], a34[:, :k], a34[:, k:], np.abs(p)))
 
 
-def quad_table(alloc, chan):
-    """The :class:`QuadTable` of an allocation, in one vectorized pass."""
-    k, n = len(alloc.W), chan.h.shape[1]
-    r = alloc.receivers.r
-    links = link_vectors(chan, alloc.receivers)
+def quad_table(alloc, model):
+    """The :class:`QuadTable` of an allocation over a :class:`LinkModel`."""
+    n = model.vecs.shape[1]
     w = np.array(alloc.W).reshape(-1, n, n)
     v = np.asarray(alloc.V)[np.newaxis]
-    gains = np.abs(chan.g.conj() @ r.T) ** 2              # [i, j] = |g_i^H r_j|^2
-    cross = np.hstack([quad_forms(links, w), np.vstack([np.abs(chan.f.T) ** 2, gains.T])])
+    cross = np.hstack([quad_forms(model.vecs, w), model.ul])
     own = np.diag(cross).copy()
     np.fill_diagonal(cross, 0.0)
     return QuadTable(
-        own=own, cross=cross, an=quad_forms(links, v)[:, 0],
-        noise=np.concatenate([chan.sigma2_dl, chan.sigma2_bs * np.linalg.norm(r, axis=1) ** 2]),
-        eve=np.hstack([quad_forms(chan.l, w), np.abs(chan.t.T) ** 2]),
-        eve_an=quad_forms(chan.l, v)[:, 0], eve_noise=chan.sigma2_eve,
-        x=np.concatenate([np.ones(k), alloc.P]), k_users=k,
+        own=own, cross=cross, an=quad_forms(model.vecs, v)[:, 0], noise=model.noise,
+        eve=np.hstack([quad_forms(model.eves, w), model.eve_ul]),
+        eve_an=quad_forms(model.eves, v)[:, 0], eve_noise=model.eve_noise,
+        x=np.concatenate([np.ones(model.k_users), alloc.P]), k_users=model.k_users,
     )
+
+
+def _table(alloc, chan):
+    return quad_table(alloc, link_model(chan, alloc.receivers))
 
 
 def dl_sinr(k, alloc, chan):
     """Receive SINR at DL user k, covariance form."""
-    return float(quad_table(alloc, chan).sinrs()[k])
+    return float(_table(alloc, chan).sinrs()[k])
 
 
 def ul_sinr(j, alloc, chan):
     """Receive SINR of UL user j at the BS for the configured receivers."""
-    return float(quad_table(alloc, chan).sinrs()[len(alloc.W) + j])
+    return float(_table(alloc, chan).sinrs()[len(alloc.W) + j])
 
 
 def eve_dl_sinr_ub(m, k, alloc, chan):
     """Worst-case bound on idle user m's SINR for DL user k's message."""
-    return float(quad_table(alloc, chan).eve_bounds()[m, k])
+    return float(_table(alloc, chan).eve_bounds()[m, k])
 
 
 def eve_ul_sinr_ub(m, j, alloc, chan):
     """Worst-case bound on idle user m's SINR for UL user j's message."""
-    return float(quad_table(alloc, chan).eve_bounds()[m, len(alloc.W) + j])
+    return float(_table(alloc, chan).eve_bounds()[m, len(alloc.W) + j])
 
 
 def _secrecy(sinrs, eve_bounds):
@@ -183,7 +218,7 @@ def _secrecy(sinrs, eve_bounds):
 
 def secrecy_rates(alloc, chan):
     """Nonnegative DL and UL secrecy rates against the best eavesdropper."""
-    table = quad_table(alloc, chan)
+    table = _table(alloc, chan)
     rates = _secrecy(table.sinrs(), table.eve_bounds())
     return rates[:table.k_users], rates[table.k_users:]
 
@@ -196,12 +231,12 @@ def objective(alloc, cfg):
 
 def constraint_margins(alloc, chan, cfg):
     """Signed slacks and activities of the QoS constraint system."""
-    return quad_table(alloc, chan).margins(cfg)
+    return _table(alloc, chan).margins(cfg)
 
 
 def evaluate_qos(alloc, chan, cfg):
     """Full QoS report for one allocation."""
-    table = quad_table(alloc, chan)
+    table = _table(alloc, chan)
     k = table.k_users
     sinrs, eve = table.sinrs(), table.eve_bounds()
     rates = _secrecy(sinrs, eve)

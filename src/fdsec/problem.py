@@ -2,7 +2,8 @@
 
 The relaxed problem is a linear objective over K+1 Hermitian PSD variables
 (DL beamforming matrices and the AN covariance) plus nonnegative UL powers,
-with one affine inequality per QoS constraint. Hermitian data is embedded
+with one affine inequality per QoS constraint, read off the channel terms
+of :func:`fdsec.metrics.link_model`. Hermitian data is embedded
 into real symmetric blocks with a factor 1/2 so every linear functional
 keeps its complex-domain value, and reported powers stay physical. The
 embedding is private to this module: callers get Hermitian matrices back
@@ -17,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .metrics import Allocation
+from .metrics import Allocation, link_model
 
 SENSES = (">=", "<=")
 
@@ -181,87 +182,57 @@ def _check_dims(chan, cfg, receivers):
 
 def _assemble(chan, cfg, receivers, an_mode, direction=None):
     n, k, j, m = _check_dims(chan, cfg, receivers)
-    gamma_dl = cfg.dl_sinr_targets
-    gamma_ul = cfg.ul_sinr_targets
+    model = link_model(chan, receivers)
+    targets = np.concatenate([cfg.dl_sinr_targets, cfg.ul_sinr_targets])
     gamma_tol = cfg.eve_sinr_cap
 
-    h_mats = [np.outer(chan.h[i], chan.h[i].conj()) for i in range(k)]
-    l_mats = [np.outer(chan.l[i], chan.l[i].conj()) for i in range(m)]
-    si_vecs = [chan.h_si.conj().T @ receivers.r[i] for i in range(j)]
-    si_mats = [np.outer(a, a.conj()) for a in si_vecs]
-    ul_gains = np.abs(chan.g.conj() @ receivers.r.T) ** 2 if j else np.zeros((0, 0))
-    # ul_gains[i, jj] = |g_i^H r_jj|^2
-
-    n_emb = 2 * n
-    if an_mode == "matrix":
-        psd_dims = (n_emb,) * (k + 1)
-        v_block = k
-    else:
-        psd_dims = (n_emb,) * k
-        v_block = None
-    orthant_dim = j + (1 if an_mode == "direction" else 0)
+    v_block = k if an_mode == "matrix" else None
     v_orth = j if an_mode == "direction" else None
-
-    def v_terms(coeff_complex, psd, orth):
-        """Route a coefficient on the AN covariance to its representation."""
-        if an_mode == "matrix":
-            psd[v_block] = psd.get(v_block, 0) + hermitian_coeff(coeff_complex)
-        elif an_mode == "direction":
-            orth[v_orth] += float(np.trace(coeff_complex @ direction).real)
-        # "none": V identically zero, term dropped
+    psd_dims = (2 * n,) * (k + (v_block is not None))
+    orthant_dim = j + (v_orth is not None)
 
     constraints = []
     row_index = {}
 
-    def add(psd, orth, constant, sense, label):
+    def add(psd, orth, constant, sense, label, outer=None):
+        """Add one row; ``outer`` enters it as the AN term -Tr(outer V)."""
+        if outer is not None and an_mode == "matrix":
+            psd[v_block] = hermitian_coeff(-outer)
+        elif outer is not None and an_mode == "direction":
+            orth[v_orth] += float(np.trace(-outer @ direction).real)
+        # "none": V identically zero, term dropped
         row_index[label] = len(constraints)
         constraints.append(LinearConstraint(
             psd_coeffs=psd, orthant_coeffs=orth, constant=float(constant),
             sense=sense, label=label,
         ))
 
-    for kk in range(k):
-        psd = {kk: hermitian_coeff(h_mats[kk] / gamma_dl[kk])}
-        for i in range(k):
-            if i != kk:
-                psd[i] = hermitian_coeff(-h_mats[kk])
+    # link rows: C1 (DL user r), then C2 (UL receiver r - K)
+    for r, vec in enumerate(model.vecs):
+        outer = np.outer(vec, vec.conj())
+        psd = {r: hermitian_coeff(outer / targets[r])} if r < k else {}
+        psd.update((i, hermitian_coeff(-outer)) for i in range(k) if i != r)
         orth = np.zeros(orthant_dim)
-        orth[:j] = -np.abs(chan.f[:, kk]) ** 2
-        v_terms(-h_mats[kk], psd, orth)
-        add(psd, orth, chan.sigma2_dl[kk], ">=", f"C1[{kk}]")
+        orth[:j] = -model.ul[r]
+        if r >= k:
+            orth[r - k] = model.ul[r, r - k] / targets[r]
+        add(psd, orth, model.noise[r], ">=", f"C1[{r}]" if r < k else f"C2[{r - k}]", outer)
 
-    for jj in range(j):
-        psd = {i: hermitian_coeff(-si_mats[jj]) for i in range(k)}
-        orth = np.zeros(orthant_dim)
-        orth[:j] = -ul_gains[:, jj]
-        orth[jj] = ul_gains[jj, jj] / gamma_ul[jj]
-        v_terms(-si_mats[jj], psd, orth)
-        noise = chan.sigma2_bs * float(np.linalg.norm(receivers.r[jj]) ** 2)
-        add(psd, orth, noise, ">=", f"C2[{jj}]")
+    # eavesdropper rows (m, r): C3 for the DL messages, then C4 for the UL ones
+    for mm, r in sorted(np.ndindex(m, k + j), key=lambda mr: mr[1] >= k):
+        outer = np.outer(model.eves[mm], model.eves[mm].conj())
+        psd, orth = {}, np.zeros(orthant_dim)
+        if r < k:
+            psd[r] = hermitian_coeff(outer / gamma_tol)
+        else:
+            orth[r - k] = model.eve_ul[mm, r - k] / gamma_tol
+        label = f"C3[{mm},{r}]" if r < k else f"C4[{mm},{r - k}]"
+        add(psd, orth, model.eve_noise[mm], "<=", label, outer)
 
-    for mm in range(m):
-        for kk in range(k):
-            psd = {kk: hermitian_coeff(l_mats[mm] / gamma_tol)}
-            orth = np.zeros(orthant_dim)
-            v_terms(-l_mats[mm], psd, orth)
-            add(psd, orth, chan.sigma2_eve[mm], "<=", f"C3[{mm},{kk}]")
-
-    for mm in range(m):
-        for jj in range(j):
-            psd = {}
-            orth = np.zeros(orthant_dim)
-            orth[jj] = abs(chan.t[jj, mm]) ** 2 / gamma_tol
-            v_terms(-l_mats[mm], psd, orth)
-            add(psd, orth, chan.sigma2_eve[mm], "<=", f"C4[{mm},{jj}]")
-
-    for jj in range(j):
-        orth = np.zeros(orthant_dim)
-        orth[jj] = 1.0
+    for jj, orth in enumerate(np.eye(j, orthant_dim)):
         add({}, orth, 0.0, ">=", f"C5[{jj}]")
 
-    obj_psd = [hermitian_coeff(cfg.alpha * np.eye(n, dtype=complex)) for _ in range(k)]
-    if an_mode == "matrix":
-        obj_psd.append(hermitian_coeff(cfg.alpha * np.eye(n, dtype=complex)))
+    obj_psd = [hermitian_coeff(cfg.alpha * np.eye(n, dtype=complex)) for _ in psd_dims]
     obj_orth = np.full(orthant_dim, cfg.beta)
     if an_mode == "direction":
         obj_orth[v_orth] = cfg.alpha * float(np.trace(direction).real)
@@ -335,11 +306,11 @@ def allocation_to_blocks(alloc, vmap):
     return BlockValues(psd=tuple(psd), orthant=orth)
 
 
-def recover_allocation(values, vmap, receivers, asym_tol=1e-6):
+def recover_allocation(values, vmap, receivers):
     """Rebuild Hermitian matrices and powers from solved block values."""
-    w_mats = tuple(_unembed_hermitian(values.psd[b], atol=asym_tol) for b in vmap.w_blocks)
+    w_mats = tuple(_unembed_hermitian(values.psd[b]) for b in vmap.w_blocks)
     if vmap.v_block is not None:
-        v_mat = _unembed_hermitian(values.psd[vmap.v_block], atol=asym_tol)
+        v_mat = _unembed_hermitian(values.psd[vmap.v_block])
     elif vmap.v_orthant_index is not None:
         v_mat = float(values.orthant[vmap.v_orthant_index]) * vmap.v_direction
     else:

@@ -15,13 +15,17 @@ from oracles import enumerate_lp_optimum, random_diagonal_instance
 
 from fdsec.certificates import dual_certificate
 from fdsec.channel import SystemConfig, realize
-from fdsec.harness import SweepSpec, evaluate_instance, hd_precheck_fires, run_trials, sweep
+from fdsec.harness import (
+    TRIAL_SOLVER_OPTIONS,
+    SweepSpec,
+    evaluate_instance,
+    hd_precheck_fires,
+    run_trials,
+    sweep,
+)
 from fdsec.problem import ConicProblem, build_optimal_problem
 from fdsec.receivers import zf_receivers
 from fdsec.solver import SolverOptions, solve
-
-# deep complementarity for clean rank-one tails, as in the harness default
-CAMPAIGN_OPTS = SolverOptions(mu_tol_factor=1e-3)
 
 # scenario used for scheme-comparison experiments: every scheme stays
 # feasible across the whole target grid, so common-feasible averaging has
@@ -60,7 +64,7 @@ def theorem_campaign():
     for cfg_index, cfg in enumerate(CAMPAIGN_SCENARIOS):
         for i in range(per_config):
             seed = 1000 * cfg_index + i
-            inst = evaluate_instance(cfg, seed, "optimal", CAMPAIGN_OPTS)
+            inst = evaluate_instance(cfg, seed, "optimal")
             if inst.alloc is None:
                 dropped.append((seed, inst.report.status))
                 continue
@@ -101,7 +105,7 @@ class TestCriterion1ClosedForm:
             _, chan = realize(cfg, seed)
             receivers = zf_receivers(chan.g)
             problem, vmap = build_optimal_problem(chan, cfg, receivers)
-            report = solve(problem, CAMPAIGN_OPTS)
+            report = solve(problem, TRIAL_SOLVER_OPTIONS)
             solve_time = time.perf_counter() - t0
             assert solve_time < 1.0, f"closed-form instance took {solve_time:.2f} s"
             assert report.status == "optimal"

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fdsec.certificates import (
     CAP_TOL,
@@ -10,7 +12,7 @@ from fdsec.certificates import (
     rebalance_powers,
 )
 from fdsec.channel import SystemConfig, realize
-from fdsec.metrics import constraint_margins
+from fdsec.metrics import Allocation, constraint_margins
 from fdsec.problem import (
     allocation_to_blocks,
     build_baseline_problem,
@@ -18,7 +20,7 @@ from fdsec.problem import (
     recover_allocation,
 )
 from fdsec.receivers import zf_receivers
-from fdsec.solver import SolverOptions, solve
+from fdsec.solver import Residuals, SolverOptions, SolverReport, solve
 
 
 def random_complex(rng, *shape):
@@ -143,6 +145,47 @@ class TestSolvedInstances:
         power_from_vectors = sum(np.linalg.norm(w) ** 2 for w in report.w)
         obj = cfg.alpha * (power_from_vectors + np.trace(alloc.V).real) + cfg.beta * alloc.P.sum()
         assert obj == pytest.approx(rep.primal_obj, rel=1e-6)
+
+
+class TestDualBlocksAgainstAssembly:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(dims=st.integers(2, 6).flatmap(lambda n: st.tuples(
+               st.just(n), st.integers(1, 3), st.integers(0, n - 1), st.integers(0, n - 1))),
+           seed=st.integers(0, 2**16))
+    @example(dims=(8, 6, 3, 5), seed=0)
+    @example(dims=(4, 2, 0, 2), seed=1)  # J = 0
+    @example(dims=(4, 2, 2, 0), seed=2)  # M = 0
+    @example(dims=(4, 1, 1, 1), seed=3)  # K = 1
+    @example(dims=(3, 2, 2, 1), seed=4)  # N = J + 1
+    def test_dual_blocks_are_the_adjoint_of_the_rows(self, dims, seed):
+        # at any multipliers y >= 0, the certificate's Y_k must equal the
+        # dual block C - sum_i sign_i y_i A_i of the assembled conic rows
+        n, k, j, m = dims
+        cfg = SystemConfig(n_antennas=n, n_dl=k, n_ul=j, n_idle=m)
+        _, chan = realize(cfg, seed)
+        rec = zf_receivers(chan.g)
+        prob, vmap = build_optimal_problem(chan, cfg, rec)
+        rng = np.random.default_rng(seed)
+        # each row's term in the dual block is of order one
+        peaks = np.array([max((np.abs(c).max() for c in con.psd_coeffs.values()), default=1.0)
+                          for con in prob.constraints])
+        y = rng.uniform(0.0, 1.0, len(prob.constraints)) / peaks
+        sign = np.array([1.0 if con.sense == ">=" else -1.0 for con in prob.constraints])
+        duals = [c.copy() for c in prob.objective_psd]
+        for yi, si, con in zip(y, sign, prob.constraints):
+            for b, coeff in con.psd_coeffs.items():
+                duals[b] -= si * yi * coeff
+        report = SolverReport(
+            status="optimal", primal=None, multipliers=y, psd_duals=tuple(duals),
+            orthant_dual=np.zeros(prob.orthant_dim), primal_obj=0.0, dual_obj=0.0,
+            residuals=Residuals(0.0, 0.0, 0.0), iterations=0,
+        )
+        beams = [random_complex(rng, n) for _ in range(k)]
+        alloc = Allocation(W=tuple(np.outer(w, w.conj()) for w in beams),
+                           V=np.eye(n, dtype=complex), P=np.ones(j), receivers=rec)
+        cert = dual_certificate(report, chan, cfg, rec, vmap, alloc=alloc)
+        assert cert.y_consistency.shape == (k,)
+        assert np.all(cert.y_consistency <= 1e-12)
 
 
 def assert_pinned_and_capped(prob, vmap, chan, cfg, polished):

@@ -7,8 +7,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from fdsec.channel import SystemConfig
+from fdsec.channel import SystemConfig, realize
 from fdsec.harness import (
     SweepSpec,
     TrialResult,
@@ -26,6 +28,12 @@ from fdsec.harness import (
     write_sweep_dat,
     write_trials_csv,
 )
+from fdsec.receivers import zf_receivers
+
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+sys.path.insert(0, BENCH)
+
+import checks  # noqa: E402  (the benchmark's independent output checks)
 
 SMALL = SystemConfig(n_antennas=6, n_dl=3, n_ul=2, n_idle=2)
 
@@ -95,10 +103,25 @@ class TestHdPrecheck:
                 assert r.status == "primal_infeasible"
         assert fired >= 1  # typical drops place an idle user near a UL user
 
-    def test_no_idle_users_never_fires(self):
-        from fdsec.channel import realize
-        from fdsec.receivers import zf_receivers
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(dims=st.integers(2, 8).flatmap(lambda n: st.tuples(
+               st.just(n), st.integers(1, 6), st.integers(0, n - 1), st.integers(0, n - 1))),
+           gamma_ul_db=st.floats(-10.0, 30.0), seed=st.integers(0, 2**16))
+    @example(dims=(8, 6, 3, 5), gamma_ul_db=10.0, seed=1)   # fires
+    @example(dims=(8, 6, 3, 5), gamma_ul_db=10.0, seed=3)   # does not fire
+    @example(dims=(4, 2, 0, 2), gamma_ul_db=10.0, seed=0)   # J = 0
+    @example(dims=(4, 2, 2, 0), gamma_ul_db=10.0, seed=0)   # M = 0
+    @example(dims=(4, 1, 1, 1), gamma_ul_db=10.0, seed=0)   # K = 1
+    @example(dims=(3, 2, 2, 1), gamma_ul_db=10.0, seed=0)   # N = J + 1
+    def test_agrees_with_independent_precheck(self, dims, gamma_ul_db, seed):
+        n, k, j, m = dims
+        cfg = SystemConfig(n_antennas=n, n_dl=k, n_ul=j, n_idle=m,
+                           gamma_ul_req_default_db=gamma_ul_db)
+        _, chan = realize(cfg, seed)
+        rec = zf_receivers(chan.g)
+        assert hd_precheck_fires(chan, cfg, rec) is checks.ul_precheck(chan, cfg, rec.r)
 
+    def test_no_idle_users_never_fires(self):
         cfg = SystemConfig(n_antennas=4, n_dl=1, n_ul=1, n_idle=0)
         _, chan = realize(cfg, 0)
         rec = zf_receivers(chan.g)
