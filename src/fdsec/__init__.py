@@ -18,19 +18,7 @@ from .channel import (
     sample_channels,
 )
 from .harness import SweepSpec, TrialResult, run_trial, run_trials, summarize, sweep
-from .metrics import (
-    Allocation,
-    Margins,
-    QosReport,
-    constraint_margins,
-    dl_sinr,
-    eve_dl_sinr_ub,
-    eve_ul_sinr_ub,
-    evaluate_qos,
-    objective,
-    secrecy_rates,
-    ul_sinr,
-)
+from .metrics import Allocation, Margins, QosReport, evaluate_qos, objective
 from .problem import (
     BlockValues,
     ConicProblem,
@@ -64,12 +52,8 @@ __all__ = [
     "build_baseline_problem",
     "build_hd_problem",
     "build_optimal_problem",
-    "constraint_margins",
-    "dl_sinr",
     "drop_geometry",
     "dual_certificate",
-    "eve_dl_sinr_ub",
-    "eve_ul_sinr_ub",
     "evaluate_qos",
     "extract_beamformer",
     "kkt_residuals",
@@ -81,10 +65,8 @@ __all__ = [
     "run_trial",
     "run_trials",
     "sample_channels",
-    "secrecy_rates",
     "solve",
     "summarize",
     "sweep",
-    "ul_sinr",
     "zf_receivers",
 ]

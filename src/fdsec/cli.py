@@ -4,6 +4,7 @@ import argparse
 import csv
 import os
 import sys
+from types import SimpleNamespace
 
 from .channel import SystemConfig
 from .harness import (
@@ -110,20 +111,11 @@ def cmd_sweep(args):
 
 def cmd_summarize(args):
     path = os.path.join(args.out, "trials.csv")
-    rows = []
-
-    class Row:
-        pass
-
     with open(path) as fh:
-        for rec in csv.DictReader(fh):
-            r = Row()
-            r.scheme = rec["scheme"]
-            r.status = rec["status"]
-            r.feasible = rec["status"] == "optimal"
-            r.objective_w = float(rec["objective_w"])
-            r.objective_dbm = float(rec["objective_dbm"])
-            rows.append(r)
+        rows = [SimpleNamespace(scheme=rec["scheme"], feasible=rec["status"] == "optimal",
+                                objective_w=float(rec["objective_w"]),
+                                objective_dbm=float(rec["objective_dbm"]))
+                for rec in csv.DictReader(fh)]
     out = os.path.join(args.out, "summary.txt")
     write_summary(out, summarize(rows))
     with open(out) as fh:

@@ -9,7 +9,8 @@ The half-duplex probe records a feasibility verdict only.
 
 import csv
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import astuple, dataclass, field, fields, replace
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
@@ -17,7 +18,7 @@ from scipy import stats
 
 from .certificates import dual_certificate, rebalance_powers
 from .channel import CONFIG_FIELD_TYPES, SystemConfig, realize, watt2dbm
-from .metrics import evaluate_qos, link_model, qos_csv_header, qos_csv_row
+from .metrics import dl_power, evaluate_qos, link_model, qos_csv_fields, qos_csv_header
 from .problem import (
     build_baseline_problem,
     build_hd_problem,
@@ -42,6 +43,14 @@ CONFIDENCE = 0.95
 
 @dataclass(frozen=True)
 class TrialResult:
+    """The one record of a trial; every trials.csv column is read off it.
+
+    Columns follow the field order: ``ul_powers_w`` expands to one
+    ``ul_power_{j}_w`` column per UL user, ``qos`` to the columns of
+    :func:`fdsec.metrics.qos_csv_header` and ``rank`` to those of
+    ``RankReport.csv_fields``. An unsolved trial leaves them nan.
+    """
+
     trial_id: int
     seed: int
     scheme: str
@@ -51,11 +60,11 @@ class TrialResult:
     dl_power_w: float              # beams plus artificial noise
     ul_powers_w: tuple
     min_margin: float              # worst slack / activity over rows C1-C5
-    qos: Optional[object]          # QosReport for solved trials
-    rank: Optional[object]         # RankReport for solved trials
     hd_precheck_infeasible: Optional[bool]
     iterations: int
     solve_time: float
+    qos: Optional[object]          # QosReport for solved trials
+    rank: Optional[object]         # RankReport for solved trials
     sweep_value: Optional[float] = None
 
     @property
@@ -118,8 +127,6 @@ def evaluate_instance(cfg, seed, scheme):
     the raw solver point is. ``min_margin`` is that margin of the kept
     allocation.
     """
-    from types import SimpleNamespace
-
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
     geometry, chan = realize(cfg, seed)
@@ -160,47 +167,28 @@ def evaluate_instance(cfg, seed, scheme):
 def run_trial(cfg, seed, scheme, trial_id=0):
     """Full pipeline for one (config, seed, scheme) task."""
     inst = evaluate_instance(cfg, seed, scheme)
-    report = inst.report
-    if inst.alloc is None:
-        return TrialResult(
-            trial_id=trial_id, seed=seed, scheme=scheme, status=report.status,
-            objective_w=float("nan"), objective_dbm=float("nan"),
-            dl_power_w=float("nan"), ul_powers_w=(),
-            min_margin=float("nan"), qos=None, rank=None,
-            hd_precheck_infeasible=inst.precheck,
-            iterations=report.iterations, solve_time=report.solve_time,
-        )
-    alloc = inst.alloc
-    obj = inst.qos.objective
-    dl_power = sum(float(np.trace(w).real) for w in alloc.W) + float(np.trace(alloc.V).real)
+    alloc, nan = inst.alloc, float("nan")
+    obj = nan if alloc is None else inst.qos.objective
     return TrialResult(
-        trial_id=trial_id, seed=seed, scheme=scheme, status=report.status,
-        objective_w=obj,
-        objective_dbm=float(watt2dbm(obj)),
-        dl_power_w=dl_power,
-        ul_powers_w=tuple(float(p) for p in alloc.P),
-        min_margin=inst.min_margin,
-        qos=inst.qos, rank=inst.rank, hd_precheck_infeasible=inst.precheck,
-        iterations=report.iterations, solve_time=report.solve_time,
+        trial_id=trial_id, seed=seed, scheme=scheme, status=inst.report.status,
+        objective_w=obj, objective_dbm=float(watt2dbm(obj)),
+        dl_power_w=nan if alloc is None else dl_power(alloc),
+        ul_powers_w=() if alloc is None else tuple(float(p) for p in alloc.P),
+        min_margin=inst.min_margin, hd_precheck_infeasible=inst.precheck,
+        iterations=inst.report.iterations, solve_time=inst.report.solve_time,
+        qos=inst.qos, rank=inst.rank,
     )
-
-
-def _trial_task(args):
-    cfg, seed, scheme, trial_id = args
-    return run_trial(cfg, seed, scheme, trial_id=trial_id)
 
 
 def run_trials(cfg, seeds, schemes, jobs=1):
     """All (seed, scheme) combinations, optionally in parallel, seed-ordered."""
-    tasks = [
-        (cfg, seed, scheme, i)
-        for i, (seed, scheme) in enumerate((s, sch) for s in seeds for sch in schemes)
-    ]
+    tasks = [(seed, scheme) for seed in seeds for scheme in schemes]
+    args = ([cfg] * len(tasks), [t[0] for t in tasks], [t[1] for t in tasks], range(len(tasks)))
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_trial_task, tasks, chunksize=4))
+            results = list(pool.map(run_trial, *args, chunksize=4))
     else:
-        results = [_trial_task(t) for t in tasks]
+        results = list(map(run_trial, *args))
     return sorted(results, key=lambda r: (r.seed, r.scheme))
 
 
@@ -224,30 +212,37 @@ class SweepPoint:
     mean_solve_time: float
 
 
+def _power_stats(solved):
+    """Mean power in W, mean power in dBm and the sample standard deviation
+    of the dBm values of solved trials: all nan for none, sd 0 for one."""
+    if not solved:
+        return (float("nan"),) * 3
+    dbm = np.array([r.objective_dbm for r in solved])
+    sd = float(dbm.std(ddof=1)) if len(dbm) > 1 else 0.0
+    return float(np.mean([r.objective_w for r in solved])), float(dbm.mean()), sd
+
+
 def _aggregate_point(parameter, value, scheme, rows, common_seeds):
     feas = [r for r in rows if r.feasible]
     common = [r for r in feas if r.seed in common_seeds]
+    mean_w, mean_dbm, sd_dbm = _power_stats(common)
+    nan = float("nan")
     if common:
-        dbm = np.array([r.objective_dbm for r in common])
-        watts = np.array([r.objective_w for r in common])
         dl_sec = np.array([r.qos.dl_secrecy.mean() for r in common if r.qos.dl_secrecy.size])
         ul_sec = np.array([r.qos.ul_secrecy.mean() for r in common if r.qos.ul_secrecy.size])
-        rank_ok = np.array([r.rank.certificate_pass for r in common])
-        mean_w = float(watts.mean())
-        mean_dbm = float(dbm.mean())
-        se_dbm = float(dbm.std(ddof=1) / np.sqrt(len(dbm))) if len(dbm) > 1 else 0.0
-        mean_dl = float(dl_sec.mean()) if dl_sec.size else float("nan")
-        mean_ul = float(ul_sec.mean()) if ul_sec.size else float("nan")
-        rank_rate = float(rank_ok.mean())
+        mean_dl = float(dl_sec.mean()) if dl_sec.size else nan
+        mean_ul = float(ul_sec.mean()) if ul_sec.size else nan
+        rank_rate = float(np.mean([r.rank.certificate_pass for r in common]))
     else:
-        mean_w = mean_dbm = se_dbm = mean_dl = mean_ul = rank_rate = float("nan")
+        mean_dl = mean_ul = rank_rate = nan
     return SweepPoint(
         parameter=parameter, value=float(value), scheme=scheme,
         trials=len(rows), feasible=len(feas),
         failed=sum(r.status in FAILED_STATUSES for r in rows),
-        feasibility_rate=len(feas) / len(rows) if rows else float("nan"),
+        feasibility_rate=len(feas) / len(rows) if rows else nan,
         common_feasible=len(common),
-        mean_power_w=mean_w, mean_power_dbm=mean_dbm, se_power_dbm=se_dbm,
+        mean_power_w=mean_w, mean_power_dbm=mean_dbm,
+        se_power_dbm=float(sd_dbm / np.sqrt(len(common))) if common else nan,
         mean_dl_secrecy=mean_dl, mean_ul_secrecy=mean_ul,
         rank_one_rate=rank_rate,
         mean_iterations=float(np.mean([r.iterations for r in rows])),
@@ -263,26 +258,22 @@ def sweep(spec):
     commonly feasible seed are flagged by common_feasible == 0, never
     dropped. Returns (points, trial results).
     """
-    from dataclasses import replace as _replace
-
     all_trials = []
     points = []
     comparable = [s for s in spec.schemes if s != "hd"]
     for value in spec.values:
         cfg = spec.config_for(value)
         seeds = [spec.base_seed + i for i in range(spec.trials)]
-        results = [_replace(r, sweep_value=float(value))
+        results = [replace(r, sweep_value=float(value))
                    for r in run_trials(cfg, seeds, spec.schemes, jobs=spec.jobs)]
         all_trials.extend(results)
         by_scheme = {s: [r for r in results if r.scheme == s] for s in spec.schemes}
-        if comparable:
-            common_seeds = set(seeds)
-            for s in comparable:
-                common_seeds &= {r.seed for r in by_scheme[s] if r.feasible}
-        else:
-            common_seeds = set()
+        common_seeds = set(seeds) if comparable else set()
+        for s in comparable:
+            common_seeds &= {r.seed for r in by_scheme[s] if r.feasible}
         for s in spec.schemes:
-            points.append(_aggregate_point(spec.parameter, value, s, by_scheme[s], common_seeds))
+            common = common_seeds if s in comparable else set()
+            points.append(_aggregate_point(spec.parameter, value, s, by_scheme[s], common))
     return points, all_trials
 
 
@@ -305,17 +296,11 @@ def summarize(results):
     for scheme in sorted(groups):
         rows_g = groups[scheme]
         feas = [r for r in rows_g if r.feasible]
-        if feas:
-            dbm = np.array([r.objective_dbm for r in feas])
-            mean = float(dbm.mean())
-            if len(dbm) > 1 and dbm.std(ddof=1) > 0:
-                half = float(stats.t.ppf(0.5 + CONFIDENCE / 2, len(dbm) - 1)
-                             * dbm.std(ddof=1) / np.sqrt(len(dbm)))
-            else:
-                half = 0.0
-            mean_w = float(np.mean([r.objective_w for r in feas]))
+        mean_w, mean, sd = _power_stats(feas)
+        if sd > 0:
+            half = float(stats.t.ppf(0.5 + CONFIDENCE / 2, len(feas) - 1) * sd / np.sqrt(len(feas)))
         else:
-            mean = half = mean_w = float("nan")
+            half = 0.0 if feas else float("nan")
         rows.append(SummaryRow(
             scheme=scheme, count=len(rows_g), mean_dbm=mean,
             half_width_dbm=half, mean_w=mean_w,
@@ -329,56 +314,45 @@ def summarize(results):
 
 
 def trial_csv_header(cfg):
-    base = ["trial_id", "seed", "scheme", "status", "objective_w", "objective_dbm",
-            "dl_power_w"]
-    base += [f"ul_power_{j}_w" for j in range(cfg.n_ul)]
-    base += ["min_margin", "hd_precheck_infeasible", "iterations", "solve_time"]
-    base += qos_csv_header(cfg.n_dl, cfg.n_ul, cfg.n_idle)
-    base += ["rank_max", "eig_ratio_max", "b_min_eig", "certificate_pass"]
-    return base
+    """trials.csv columns: the fields of :class:`TrialResult` in order."""
+    cols = []
+    for f in fields(TrialResult):
+        if f.name == "ul_powers_w":
+            cols += [f"ul_power_{j}_w" for j in range(cfg.n_ul)]
+        elif f.name == "qos":
+            cols += qos_csv_header(cfg.n_dl, cfg.n_ul, cfg.n_idle)
+        elif f.name == "rank":
+            cols += ["rank_max", "eig_ratio_max", "b_min_eig", "certificate_pass"]
+        else:
+            cols.append(f.name)
+    return cols
 
 
-def trial_csv_row(result, cfg):
-    row = [result.trial_id, result.seed, result.scheme, result.status,
-           result.objective_w, result.objective_dbm, result.dl_power_w]
-    powers = list(result.ul_powers_w) + [float("nan")] * (cfg.n_ul - len(result.ul_powers_w))
-    row += powers
-    row += [result.min_margin, result.hd_precheck_infeasible,
-            result.iterations, result.solve_time]
-    if result.qos is not None:
-        row += qos_csv_row(result.qos)
-    else:
-        row += [float("nan")] * len(qos_csv_header(cfg.n_dl, cfg.n_ul, cfg.n_idle))
-    if result.rank is not None:
-        f = result.rank.csv_fields()
-        row += [f["rank_max"], f["eig_ratio_max"], f["b_min_eig"], f["certificate_pass"]]
-    else:
-        row += [float("nan")] * 4
+def trial_csv_row(result):
+    """One trials.csv record as {column: value}; an unsolved trial has no
+    UL power, QoS or rank entries, which the writer fills with nan."""
+    row = {f.name: getattr(result, f.name) for f in fields(result)}
+    row.update((f"ul_power_{j}_w", p) for j, p in enumerate(row.pop("ul_powers_w")))
+    qos, rank = row.pop("qos"), row.pop("rank")
+    if qos is not None:
+        row.update(qos_csv_fields(qos))
+    if rank is not None:
+        row.update(rank.csv_fields())
     return row
 
 
 def write_trials_csv(path, results, cfg):
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(trial_csv_header(cfg))
-        for r in results:
-            writer.writerow(trial_csv_row(r, cfg))
-
-
-SWEEP_COLUMNS = [
-    "parameter", "value", "scheme", "trials", "feasible", "failed", "feasibility_rate",
-    "common_feasible", "mean_power_w", "mean_power_dbm", "se_power_dbm",
-    "mean_dl_secrecy", "mean_ul_secrecy", "rank_one_rate",
-    "mean_iterations", "mean_solve_time",
-]
+        writer = csv.DictWriter(fh, trial_csv_header(cfg), restval=float("nan"))
+        writer.writeheader()
+        writer.writerows(trial_csv_row(r) for r in results)
 
 
 def write_sweep_csv(path, points):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(SWEEP_COLUMNS)
-        for p in points:
-            writer.writerow([getattr(p, c) for c in SWEEP_COLUMNS])
+        writer.writerow([f.name for f in fields(SweepPoint)])
+        writer.writerows(astuple(p) for p in points)
 
 
 def write_sweep_dat(path, points):

@@ -13,8 +13,9 @@ terms, once per channel and receivers; the conic assembly of
 read it. One vectorized pass over it, :func:`quad_table`, computes every
 term of the rows at an allocation. The SINRs, the eavesdropper bounds, the
 secrecy rates and the row margins with their activities all come from that
-table, and so do the power polish and the C1 tightness of
-:mod:`fdsec.certificates`.
+table through :func:`evaluate_qos`, the one QoS entry point; the power
+polish and the C1 tightness of :mod:`fdsec.certificates` read the table
+itself.
 """
 
 from dataclasses import dataclass
@@ -186,57 +187,25 @@ def quad_table(alloc, model):
     )
 
 
-def _table(alloc, chan):
-    return quad_table(alloc, link_model(chan, alloc.receivers))
-
-
-def dl_sinr(k, alloc, chan):
-    """Receive SINR at DL user k, covariance form."""
-    return float(_table(alloc, chan).sinrs()[k])
-
-
-def ul_sinr(j, alloc, chan):
-    """Receive SINR of UL user j at the BS for the configured receivers."""
-    return float(_table(alloc, chan).sinrs()[len(alloc.W) + j])
-
-
-def eve_dl_sinr_ub(m, k, alloc, chan):
-    """Worst-case bound on idle user m's SINR for DL user k's message."""
-    return float(_table(alloc, chan).eve_bounds()[m, k])
-
-
-def eve_ul_sinr_ub(m, j, alloc, chan):
-    """Worst-case bound on idle user m's SINR for UL user j's message."""
-    return float(_table(alloc, chan).eve_bounds()[m, len(alloc.W) + j])
-
-
 def _secrecy(sinrs, eve_bounds):
     """Nonnegative secrecy rate of every link against its best eavesdropper."""
     eve = np.log2(1.0 + eve_bounds.max(axis=0, initial=0.0))
     return np.maximum(np.log2(1.0 + sinrs) - eve, 0.0)
 
 
-def secrecy_rates(alloc, chan):
-    """Nonnegative DL and UL secrecy rates against the best eavesdropper."""
-    table = _table(alloc, chan)
-    rates = _secrecy(table.sinrs(), table.eve_bounds())
-    return rates[:table.k_users], rates[table.k_users:]
+def dl_power(alloc):
+    """DL transmit power, beams plus artificial noise, watts."""
+    return sum(float(np.trace(w).real) for w in alloc.W) + float(np.trace(alloc.V).real)
 
 
 def objective(alloc, cfg):
     """Weighted sum of DL (beams plus AN) and UL transmit powers, watts."""
-    dl_power = sum(float(np.trace(w).real) for w in alloc.W) + float(np.trace(alloc.V).real)
-    return cfg.alpha * dl_power + cfg.beta * float(alloc.P.sum())
-
-
-def constraint_margins(alloc, chan, cfg):
-    """Signed slacks and activities of the QoS constraint system."""
-    return _table(alloc, chan).margins(cfg)
+    return cfg.alpha * dl_power(alloc) + cfg.beta * float(alloc.P.sum())
 
 
 def evaluate_qos(alloc, chan, cfg):
-    """Full QoS report for one allocation."""
-    table = _table(alloc, chan)
+    """Full QoS report for one allocation: the one QoS entry point."""
+    table = quad_table(alloc, link_model(chan, alloc.receivers))
     k = table.k_users
     sinrs, eve = table.sinrs(), table.eve_bounds()
     rates = _secrecy(sinrs, eve)
@@ -261,13 +230,9 @@ def qos_csv_header(k_users, j_users, m_users):
     return cols
 
 
-def qos_csv_row(report):
-    """Values matching :func:`qos_csv_header`."""
-    vals = []
-    vals += list(report.dl_sinr)
-    vals += list(report.ul_sinr)
-    vals += list(report.eve_dl_sinr_ub.ravel())
-    vals += list(report.eve_ul_sinr_ub.ravel())
-    vals += list(report.dl_secrecy)
-    vals += list(report.ul_secrecy)
-    return vals
+def qos_csv_fields(report):
+    """One QosReport as {column of :func:`qos_csv_header`: value}."""
+    m_users, k_users = report.eve_dl_sinr_ub.shape
+    values = np.concatenate([report.dl_sinr, report.ul_sinr, report.eve_dl_sinr_ub.ravel(),
+                             report.eve_ul_sinr_ub.ravel(), report.dl_secrecy, report.ul_secrecy])
+    return dict(zip(qos_csv_header(k_users, report.ul_sinr.size, m_users), values, strict=True))

@@ -12,7 +12,7 @@ from fdsec.certificates import (
     rebalance_powers,
 )
 from fdsec.channel import SystemConfig, realize
-from fdsec.metrics import Allocation, constraint_margins
+from fdsec.metrics import Allocation, evaluate_qos
 from fdsec.problem import (
     allocation_to_blocks,
     build_baseline_problem,
@@ -191,7 +191,7 @@ class TestDualBlocksAgainstAssembly:
 def assert_pinned_and_capped(prob, vmap, chan, cfg, polished):
     """C1/C2 met with equality to row scale, every C3/C4 cap held."""
     values = allocation_to_blocks(polished, vmap)
-    margins = constraint_margins(polished, chan, cfg)
+    margins = evaluate_qos(polished, chan, cfg).margins
     activity = np.concatenate(margins.activity[:2])
     for (label, row), scale in zip(vmap.rows("C1") + vmap.rows("C2"), activity):
         con = prob.constraints[row]

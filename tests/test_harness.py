@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from fdsec.channel import SystemConfig, realize
 from fdsec.harness import (
+    SCHEMES,
     SweepSpec,
     TrialResult,
     _aggregate_point,
@@ -90,6 +91,23 @@ class TestRunTrial:
     def test_unknown_scheme(self):
         with pytest.raises(ValueError):
             run_trial(SMALL, 0, "mrt")
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(dims=st.integers(2, 6).flatmap(lambda n: st.tuples(
+               st.just(n), st.integers(1, 4), st.integers(0, n - 1), st.integers(0, n - 1))),
+           seed=st.integers(0, 2**16))
+    @example(dims=(4, 2, 0, 2), seed=0)   # J = 0
+    @example(dims=(4, 2, 2, 0), seed=0)   # M = 0
+    @example(dims=(4, 1, 1, 1), seed=0)   # K = 1
+    @example(dims=(3, 2, 2, 1), seed=0)   # N = J + 1
+    def test_every_trial_ends_in_a_named_status(self, dims, seed):
+        n, k, j, m = dims
+        cfg = SystemConfig(n_antennas=n, n_dl=k, n_ul=j, n_idle=m)
+        results = [run_trial(cfg, seed, scheme) for scheme in SCHEMES]
+        for r in results:
+            assert r.status in ("optimal", "primal_infeasible", "dual_infeasible",
+                                "max_iters", "numerical_failure")
+        write_trials_csv(os.devnull, results, cfg)  # raises on a column not in the header
 
 
 class TestHdPrecheck:
@@ -173,6 +191,21 @@ class TestSweep:
         lines = (tmp_path / "sweep.dat").read_text().splitlines()
         assert lines[0].startswith("#")
         assert len(lines) == 3  # header + one line per value
+        # rows of different sweep values with the same seed stay apart
+        write_trials_csv(tmp_path / "trials.csv", trials, SMALL)
+        with open(tmp_path / "trials.csv") as fh:
+            keys = [(r["sweep_value"], r["seed"], r["scheme"]) for r in csv.DictReader(fh)]
+        assert len(set(keys)) == len(keys) == 12
+
+    def test_hd_is_never_averaged(self):
+        # a feasible hd trial carries no QoS; it must not enter the common set
+        spec = SweepSpec(parameter="gamma_dl_req_db", values=(6.0,), trials=3,
+                         schemes=("optimal", "hd"), base_config=SMALL)
+        points, trials = sweep(spec)
+        assert any(r.scheme == "hd" and r.feasible for r in trials)
+        by = {p.scheme: p for p in points}
+        assert by["hd"].common_feasible == 0
+        assert by["optimal"].common_feasible == by["optimal"].feasible
 
     def test_antenna_sweep_config(self):
         spec = SweepSpec(parameter="n_antennas", values=(6, 8), trials=1,
@@ -249,7 +282,10 @@ class TestFiles:
         assert set(r["scheme"] for r in rows) == {"optimal", "hd"}
         header = trial_csv_header(SMALL)
         assert len(set(header)) == len(header)
-        assert len(trial_csv_row(results[0], SMALL)) == len(header)
+        solved = next(r for r in results if r.qos is not None)
+        assert set(trial_csv_row(solved)) == set(header)
+        assert all(set(trial_csv_row(r)) <= set(header) for r in results)
+        assert all(row["sweep_value"] == "" for row in rows)
         for row, result in zip(rows, results):
             assert float(row["min_margin"]) == pytest.approx(result.min_margin, nan_ok=True)
 
@@ -303,9 +339,11 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         for name in ("trials.csv", "sweep.csv", "sweep.dat", "summary.txt"):
             assert (tmp_path / name).exists()
+        written = (tmp_path / "summary.txt").read_bytes()
         proc2 = self.run_cli("summarize", "--out", str(tmp_path))
         assert proc2.returncode == 0, proc2.stderr
         assert "optimal" in proc2.stdout
+        assert (tmp_path / "summary.txt").read_bytes() == written
 
     def test_write_config(self):
         proc = self.run_cli("write-config")

@@ -4,16 +4,12 @@ import pytest
 from fdsec.channel import ChannelRealization, SystemConfig
 from fdsec.metrics import (
     Allocation,
-    constraint_margins,
-    dl_sinr,
-    eve_dl_sinr_ub,
-    eve_ul_sinr_ub,
     evaluate_qos,
+    link_model,
     objective,
+    qos_csv_fields,
     qos_csv_header,
-    qos_csv_row,
-    secrecy_rates,
-    ul_sinr,
+    quad_table,
 )
 from fdsec.receivers import ReceiverSet, zf_receivers
 
@@ -34,6 +30,11 @@ def make_chan(n, k, j, m, rng, h_si_scale=1e-5, sigma2=1.0):
         sigma2_bs=sigma2,
         sigma2_eve=np.full(m, sigma2),
     )
+
+
+def table(alloc, chan):
+    """The QoS rows of an allocation, for tests that have no config."""
+    return quad_table(alloc, link_model(chan, alloc.receivers))
 
 
 def rank_one_alloc(n, k, j, rng, receivers, an_scale=1.0):
@@ -68,7 +69,7 @@ class TestDlSinr:
             W=(np.outer(w, w.conj()),), V=np.zeros((n, n), dtype=complex),
             P=np.zeros(0), receivers=ReceiverSet(r=np.zeros((0, n), dtype=complex)),
         )
-        assert dl_sinr(0, alloc, chan) == pytest.approx(4.0)
+        assert table(alloc, chan).sinrs()[0] == pytest.approx(4.0)
 
     def test_isotropic_an_adds_to_denominator(self):
         rng = np.random.default_rng(0)
@@ -79,8 +80,8 @@ class TestDlSinr:
         p = 0.7
         alloc1 = Allocation(W=alloc0.W, V=p * np.eye(n), P=alloc0.P, receivers=rec)
         h = chan.h[0]
-        s0 = dl_sinr(0, alloc0, chan)
-        s1 = dl_sinr(0, alloc1, chan)
+        s0 = table(alloc0, chan).sinrs()[0]
+        s1 = table(alloc1, chan).sinrs()[0]
         base = quad(h, alloc0.W[0]) / s0
         assert quad(h, alloc0.W[0]) / s1 == pytest.approx(base + p * np.linalg.norm(h) ** 2)
 
@@ -96,7 +97,7 @@ class TestDlSinr:
             den = sum(abs(h.conj() @ w_vecs[i]) ** 2 for i in range(k) if i != kk)
             den += float(alloc.P @ np.abs(chan.f[:, kk]) ** 2)
             den += abs(h.conj() @ v_vec) ** 2 + chan.sigma2_dl[kk]
-            assert dl_sinr(kk, alloc, chan) == pytest.approx(num / den, rel=1e-9)
+            assert table(alloc, chan).sinrs()[kk] == pytest.approx(num / den, rel=1e-9)
 
 
 def quad(vec, mat):
@@ -114,7 +115,7 @@ class TestUlSinr:
             P=np.array([1.3]), receivers=rec,
         )
         expected = 1.3 / (chan.sigma2_bs * np.linalg.norm(rec.r[0]) ** 2)
-        assert ul_sinr(0, alloc, chan) == pytest.approx(expected, rel=1e-12)
+        assert table(alloc, chan).sinrs()[1] == pytest.approx(expected, rel=1e-12)
 
     def test_zf_premise_kills_cross_terms(self):
         rng = np.random.default_rng(3)
@@ -127,7 +128,7 @@ class TestUlSinr:
         )
         for jj in range(j):
             expected = alloc.P[jj] / (chan.sigma2_bs * np.linalg.norm(rec.r[jj]) ** 2)
-            assert ul_sinr(jj, alloc, chan) == pytest.approx(expected, rel=1e-9)
+            assert table(alloc, chan).sinrs()[1 + jj] == pytest.approx(expected, rel=1e-9)
 
     def test_matches_vector_form(self):
         rng = np.random.default_rng(4)
@@ -142,7 +143,7 @@ class TestUlSinr:
             den += sum(abs(r.conj() @ chan.h_si @ w) ** 2 for w in w_vecs)
             den += abs(r.conj() @ chan.h_si @ v_vec) ** 2
             den += chan.sigma2_bs * np.linalg.norm(r) ** 2
-            assert ul_sinr(jj, alloc, chan) == pytest.approx(num / den, rel=1e-9)
+            assert table(alloc, chan).sinrs()[k + jj] == pytest.approx(num / den, rel=1e-9)
 
 
 class TestEveBounds:
@@ -155,12 +156,12 @@ class TestEveBounds:
         w = random_complex(rng, n)
         alloc_v0 = Allocation(W=(np.outer(w, w.conj()),), V=zero, P=np.array([0.8]), receivers=rec)
         expected = quad(chan.l[0], alloc_v0.W[0]) / chan.sigma2_eve[0]
-        assert eve_dl_sinr_ub(0, 0, alloc_v0, chan) == pytest.approx(expected)
+        assert table(alloc_v0, chan).eve_bounds()[0, 0] == pytest.approx(expected)
         alloc_w0 = Allocation(W=(zero,), V=zero, P=np.array([0.8]), receivers=rec)
-        assert eve_dl_sinr_ub(0, 0, alloc_w0, chan) == 0.0
-        assert eve_ul_sinr_ub(0, 0, Allocation(W=(zero,), V=zero, P=np.array([0.0]), receivers=rec), chan) == 0.0
+        assert table(alloc_w0, chan).eve_bounds()[0, 0] == 0.0
+        assert table(Allocation(W=(zero,), V=zero, P=np.array([0.0]), receivers=rec), chan).eve_bounds()[0, 1] == 0.0
         expected_ul = 0.8 * abs(chan.t[0, 0]) ** 2 / chan.sigma2_eve[0]
-        assert eve_ul_sinr_ub(0, 0, alloc_v0, chan) == pytest.approx(expected_ul)
+        assert table(alloc_v0, chan).eve_bounds()[0, 1] == pytest.approx(expected_ul)
 
     def test_bounds_dominate_exact_sinr(self):
         # oracle: full-denominator eavesdropper SINRs
@@ -177,14 +178,14 @@ class TestEveBounds:
                 den = sum(abs(l_vec.conj() @ w_vecs[i]) ** 2 for i in range(k) if i != kk)
                 den += an + float(alloc.P @ np.abs(chan.t[:, mm]) ** 2) + chan.sigma2_eve[mm]
                 exact = num / den
-                assert eve_dl_sinr_ub(mm, kk, alloc, chan) >= exact - 1e-15
+                assert table(alloc, chan).eve_bounds()[mm, kk] >= exact - 1e-15
             for jj in range(j):
                 num = alloc.P[jj] * abs(chan.t[jj, mm]) ** 2
                 den = sum(abs(l_vec.conj() @ w_vecs[i]) ** 2 for i in range(k))
                 den += sum(alloc.P[i] * abs(chan.t[i, mm]) ** 2 for i in range(j) if i != jj)
                 den += an + chan.sigma2_eve[mm]
                 exact = num / den
-                assert eve_ul_sinr_ub(mm, jj, alloc, chan) >= exact - 1e-15
+                assert table(alloc, chan).eve_bounds()[mm, k + jj] >= exact - 1e-15
 
 
 class TestSecrecy:
@@ -199,9 +200,9 @@ class TestSecrecy:
         w_mat = np.outer(w, w.conj())
         scale = chan.sigma2_eve[0] / quad(l_vec, w_mat)  # eve SINR 1 -> rate 1
         alloc = Allocation(W=(scale * w_mat,), V=np.zeros((n, n), dtype=complex), P=np.zeros(0), receivers=rec)
-        dl, _ = secrecy_rates(alloc, chan)
-        legit = np.log2(1 + dl_sinr(0, alloc, chan))
-        assert dl[0] == pytest.approx(legit - 1.0, rel=1e-12)
+        qos = evaluate_qos(alloc, chan, SystemConfig(n_antennas=n, n_dl=1, n_ul=0, n_idle=1))
+        legit = np.log2(1 + qos.dl_sinr[0])
+        assert qos.dl_secrecy[0] == pytest.approx(legit - 1.0, rel=1e-12)
 
     def test_clamped_at_zero(self):
         rng = np.random.default_rng(8)
@@ -216,8 +217,8 @@ class TestSecrecy:
         rec = ReceiverSet(r=np.zeros((0, n), dtype=complex))
         w = random_complex(rng, n)
         alloc = Allocation(W=(np.outer(w, w.conj()),), V=np.zeros((n, n), dtype=complex), P=np.zeros(0), receivers=rec)
-        dl, _ = secrecy_rates(alloc, chan)
-        assert dl[0] == 0.0
+        qos = evaluate_qos(alloc, chan, SystemConfig(n_antennas=n, n_dl=1, n_ul=0, n_idle=1))
+        assert qos.dl_secrecy[0] == 0.0
 
     def test_phase_invariance(self):
         rng = np.random.default_rng(9)
@@ -230,10 +231,11 @@ class TestSecrecy:
             for i, w in enumerate(w_vecs)
         )
         alloc_rot = Allocation(W=rotated, V=alloc.V, P=alloc.P, receivers=rec)
-        a = secrecy_rates(alloc, chan)
-        b = secrecy_rates(alloc_rot, chan)
-        assert np.allclose(a[0], b[0], rtol=1e-10)
-        assert np.allclose(a[1], b[1], rtol=1e-10)
+        cfg = SystemConfig(n_antennas=n, n_dl=k, n_ul=j, n_idle=m)
+        a = evaluate_qos(alloc, chan, cfg)
+        b = evaluate_qos(alloc_rot, chan, cfg)
+        assert np.allclose(a.dl_secrecy, b.dl_secrecy, rtol=1e-10)
+        assert np.allclose(a.ul_secrecy, b.ul_secrecy, rtol=1e-10)
 
 
 class TestObjectiveAndMargins:
@@ -257,7 +259,7 @@ class TestObjectiveAndMargins:
         rec = zf_receivers(chan.g)
         zero = np.zeros((n, n), dtype=complex)
         alloc = Allocation(W=(zero, zero), V=zero, P=np.zeros(j), receivers=rec)
-        margins = constraint_margins(alloc, chan, cfg)
+        margins = evaluate_qos(alloc, chan, cfg).margins
         assert np.all(margins.c1 < 0) and np.all(margins.c2 < 0)
         assert np.all(margins.c3 > 0) and np.all(margins.c4 > 0)
         assert np.all(margins.c5 == 0)
@@ -273,8 +275,8 @@ class TestObjectiveAndMargins:
         tiny_v = 1e-4 * np.eye(n)
         one = Allocation(W=(w_mat,), V=tiny_v, P=np.zeros(0), receivers=rec)
         two = Allocation(W=(2 * w_mat,), V=2 * tiny_v, P=np.zeros(0), receivers=rec)
-        m1 = constraint_margins(one, chan, cfg)
-        m2 = constraint_margins(two, chan, cfg)
+        m1 = evaluate_qos(one, chan, cfg).margins
+        m2 = evaluate_qos(two, chan, cfg).margins
         assert m2.c1[0] > m1.c1[0]
 
     def test_csv_round(self):
@@ -286,9 +288,9 @@ class TestObjectiveAndMargins:
         alloc, _, _ = rank_one_alloc(n, k, j, rng, rec)
         report = evaluate_qos(alloc, chan, cfg)
         header = qos_csv_header(k, j, m)
-        row = qos_csv_row(report)
-        assert len(header) == len(row)
+        row = qos_csv_fields(report)
+        assert list(row) == header
         # objective and margin are columns of the trial row, not of the QoS block
         assert not {"objective_w", "min_margin"} & set(header)
-        assert row[header.index("eve_ul_ub_1_0")] == report.eve_ul_sinr_ub[1, 0]
-        assert row[header.index("dl_secrecy_1")] == report.dl_secrecy[1]
+        assert row["eve_ul_ub_1_0"] == report.eve_ul_sinr_ub[1, 0]
+        assert row["dl_secrecy_1"] == report.dl_secrecy[1]

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from fdsec.channel import SystemConfig, realize
 from fdsec.linalg import eigvals_herm
-from fdsec.metrics import Allocation, constraint_margins, objective
+from fdsec.metrics import Allocation, evaluate_qos, objective
 from fdsec.problem import (
     BlockValues,
     _embed_real,
@@ -102,7 +102,7 @@ class TestFunctionalEquality:
         alloc = random_rank_one_alloc(rng, cfg, rec)
         values = allocation_to_blocks(alloc, vmap)
         slacks = prob.slacks(values)
-        margins = constraint_margins(alloc, chan, cfg)
+        margins = evaluate_qos(alloc, chan, cfg).margins
         analytic = np.concatenate(
             [margins.c1, margins.c2, margins.c3.ravel(), margins.c4.ravel(), margins.c5]
         )
@@ -134,7 +134,7 @@ class TestFunctionalEquality:
             prob, vmap = build_hd_problem(chan, cfg, rec)
             alloc = replace(alloc, V=np.zeros((n, n), dtype=complex))
         values = allocation_to_blocks(alloc, vmap)
-        margins = constraint_margins(alloc, chan, cfg)
+        margins = evaluate_qos(alloc, chan, cfg).margins
         assert [c.shape for c in (margins.c1, margins.c2, margins.c3, margins.c4, margins.c5)] \
             == [(k,), (j,), (m, k), (m, j), (j,)]
         assert [a.shape for a in margins.activity] == [(k,), (j,), (m, k), (m, j), (j,)]
