@@ -7,6 +7,12 @@ Mehrotra predictor-corrector step. Presolve drops empty rows, equilibrates
 block columns, and normalizes every constraint row to unit infinity-norm;
 all reported quantities are unscaled back to the original data.
 
+Infeasibility is decided on the iterates themselves: once the dual
+iterate y of an infeasible program grows along a Farkas ray, the exact
+test ``_farkas_ray`` accepts it, with every cone violation measured
+against the magnitude of the terms it sums (Todd, "Detecting infeasibility
+in infeasible-interior-point methods for optimization", 2004).
+
 The PSD blocks are stacked by size: each group of same-size blocks is one
 (B, d, d) array, gathered from and scattered to the svec vector through
 precomputed index maps, so every kernel of an iteration (scaling point,
@@ -17,11 +23,12 @@ is one batched numpy/LAPACK call per group rather than one per block.
 import logging
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .problem import BlockValues, ConicProblem, LinearConstraint
+from .problem import BlockValues
 
 logger = logging.getLogger(__name__)
 
@@ -64,7 +71,6 @@ class SolverReport:
     dual_obj: float
     residuals: Residuals
     iterations: int              # main-loop iterations
-    phase1_iterations: int = 0   # iterations of the phase-1 solve, 0 when it did not run
     iter_log: tuple = field(default=())
     solve_time: float = 0.0
 
@@ -201,7 +207,7 @@ class _StandardForm:
         row_norm = np.abs(a).max(axis=1) if self.n_x else np.zeros(m)
         self.kept = np.where(row_norm > 0.0)[0]
         dropped = np.where(row_norm == 0.0)[0]
-        self.zero_row_infeasible = bool(np.any(b[dropped] > 0.0))
+        self.infeasible_rows = dropped[b[dropped] > 0.0]
         a = a[self.kept]
         b = b[self.kept]
 
@@ -260,6 +266,11 @@ class _StandardForm:
             ok = _embedding_symmetric(cmats) & _embedding_symmetric(mats).all(axis=1)
             if ok.any():
                 self.sym_groups.append(_BlockGroup(grp.d, grp.blocks[ok], self.block_starts))
+
+    @cached_property
+    def row_norms(self):
+        """Per group, the (B, mk) spectral norms of each block of each scaled row."""
+        return [np.abs(np.linalg.eigvalsh(mats)).max(axis=-1) for mats in self.a_mats]
 
     def project_structured(self, vec):
         """Average each structured block with its symmetry image, in place."""
@@ -445,18 +456,44 @@ def _newton_step(sf, u, y, z, r_p, r_d, mu):
     raise np.linalg.LinAlgError("no step keeps the iterate inside the cone")
 
 
-def solve(problem, opts=None, _allow_phase1=True):
+def _farkas_ray(sf, y, tol):
+    """Whether multipliers y prove the scaled rows A u = b, u in K infeasible.
+
+    A Farkas ray has b'y > 0 and -A'y in the cone (y >= 0 on the slack
+    columns). b'y, each orthant entry of A'y and each PSD block's
+    lambda_max of A'y are divided by the magnitude of the terms they sum
+    (sum |y_i| ||A_i||_2 on a block); these ratios do not change under the
+    equilibration, so the verdict holds for the original rows.
+    """
+    abs_y = np.abs(y)
+    if not float(sf.b @ y) > tol * float(np.abs(sf.b) @ abs_y):
+        return False
+    aty = sf.a_full.T @ y
+    if np.any(aty[sf.n_sv:] > tol * (abs_y @ np.abs(sf.a_full[:, sf.n_sv:]))):
+        return False
+    for grp, norms in zip(sf.groups, sf.row_norms):
+        lam_max = np.linalg.eigvalsh(grp.smat(aty))[:, -1]
+        if np.any(lam_max > tol * (norms @ abs_y)):
+            return False
+    return True
+
+
+def solve(problem, opts=None):
     """Solve a conic problem to optimality or produce an infeasibility verdict.
 
-    An IPM ``primal_infeasible`` verdict carries a Farkas ray in
-    ``multipliers``: the diverging dual iterate, or the multipliers of the
-    phase-1 solve when that decides the verdict.
+    Every ``primal_infeasible`` verdict carries a Farkas ray in
+    ``multipliers`` and its dual slack -A'y in ``psd_duals`` and
+    ``orthant_dual``: a dual iterate that passes ``_farkas_ray``, or the
+    unit multiplier of an all-zero row with a positive constant. A solve
+    that stops before either test decides ends in ``max_iters`` or
+    ``numerical_failure``, unless its best iterate meets the relaxed
+    optimality test.
     """
     t0 = time.perf_counter()
     opts = opts or SolverOptions()
     sf = _StandardForm(problem)
 
-    def report(status, u, y, z, res, iters, log, phase1_iters=0):
+    def report(status, u, y, z, res, iters, log):
         x_orig = sf.unscale_primal(u)
         y_orig, z_orig = sf.unscale_dual(y, z)
         psd_vals = sf.psd_mats(x_orig)
@@ -475,15 +512,17 @@ def solve(problem, opts=None, _allow_phase1=True):
             dual_obj=dobj,
             residuals=res,
             iterations=iters,
-            phase1_iterations=phase1_iters,
             iter_log=tuple(log),
             solve_time=time.perf_counter() - t0,
         )
 
-    if sf.zero_row_infeasible:
+    if sf.infeasible_rows.size:
+        # 0 >= b_i > 0: the unit multiplier on that row is a ray, as -A'e_i = 0
         zeros = np.zeros(sf.n_total)
         res = Residuals(primal=np.inf, dual=0.0, gap=np.inf)
-        return report("primal_infeasible", zeros, np.zeros(len(sf.kept)), zeros, res, 0, [])
+        rep = report("primal_infeasible", zeros, np.zeros(len(sf.kept)), zeros, res, 0, [])
+        rep.multipliers[sf.infeasible_rows[0]] = 1.0
+        return rep
 
     if len(sf.kept) == 0:
         # unconstrained over the cone: optimum 0 iff the objective is in the dual cone
@@ -578,12 +617,11 @@ def solve(problem, opts=None, _allow_phase1=True):
                 break
 
             # infeasibility certificates from the diverging iterates
-            if dobj_s > 0.0:
-                ray_res = float(np.abs(a.T @ y + z).max()) / dobj_s
-                if ray_res <= opts.infeasibility_threshold * max(1.0, np.abs(c).max()):
-                    status = "primal_infeasible"
-                    res = Residuals(primal=relp, dual=reld, gap=np.inf)
-                    break
+            if _farkas_ray(sf, y, opts.infeasibility_threshold):
+                status = "primal_infeasible"
+                z = -a.T @ y
+                res = Residuals(primal=relp, dual=reld, gap=np.inf)
+                break
             if pobj_s < 0.0:
                 ray_res = float(np.abs(a @ u).max()) / -pobj_s
                 if ray_res <= opts.infeasibility_threshold * max(1.0, np.abs(b).max()):
@@ -602,63 +640,13 @@ def solve(problem, opts=None, _allow_phase1=True):
     except np.linalg.LinAlgError:
         status = "numerical_failure"
 
-    phase1_iters = 0
     if status in ("max_iters", "numerical_failure") and best is not None:
         # fall back to the best iterate seen; accept it when it already meets
         # the feasibility tolerances and a mildly relaxed gap
         _, u, y, z, res, relaxed = best
         if relaxed:
             status = "optimal"
-        elif _allow_phase1 and res.primal > opts.rel_tol:
-            # unresolved and not primal-feasible: settle feasibility directly
-            p1 = _phase1(sf, opts)
-            phase1_iters = p1.iterations
-            if p1.status == "optimal" and p1.primal_obj > 1e-6:
-                # its multipliers are a Farkas ray of the equilibrated rows,
-                # and -A'y is that ray's dual slack
-                status = "primal_infeasible"
-                y = p1.multipliers
-                z = -a.T @ y
-                res = Residuals(primal=res.primal, dual=res.dual, gap=np.inf)
-    return report(status, u, y, z, res, it, log, phase1_iters)
-
-
-def _phase1(sf, opts):
-    """Solve the phase-1 program of the (equilibrated) rows.
-
-    min t s.t. A x + t >= b over the same cone: the optimum is the scaled
-    infeasibility measure (zero iff the problem is feasible), and the
-    phase-1 program itself is always feasible and bounded. By LP duality
-    its multipliers y >= 0 satisfy -A'y in the cone and b'y = t, so with
-    t > 0 they prove the rows infeasible.
-    """
-    mk = len(sf.kept)
-    n_orth = sf.n_orth_vars + 1
-    # (B, mk) per group: does block j appear in row i
-    touches = [np.any(mats != 0.0, axis=(-2, -1)) for mats in sf.a_mats]
-    cons = []
-    for i in range(mk):
-        psd = {blk: sf.a_mats[k][j, i] for blk, (k, j) in enumerate(sf.block_at)
-               if touches[k][j, i]}
-        orth = np.zeros(n_orth)
-        orth[: sf.n_orth_vars] = sf.a_full[i, sf.n_sv: sf.n_x]
-        orth[-1] = 1.0
-        cons.append(LinearConstraint(
-            psd_coeffs=psd, orthant_coeffs=orth, constant=float(sf.b[i]),
-            sense=">=", label=f"p1[{i}]",
-        ))
-    objective = np.zeros(n_orth)
-    objective[-1] = 1.0
-    phase1 = ConicProblem(
-        psd_dims=tuple(sf.psd_dims), orthant_dim=n_orth,
-        objective_psd=tuple(np.zeros((d, d)) for d in sf.psd_dims),
-        objective_orthant=objective, constraints=tuple(cons),
-    )
-    p1_opts = SolverOptions(
-        abs_tol=max(opts.abs_tol, 1e-9), rel_tol=max(opts.rel_tol, 1e-7),
-        max_iters=opts.max_iters, infeasibility_threshold=opts.infeasibility_threshold,
-    )
-    return solve(phase1, p1_opts, _allow_phase1=False)
+    return report(status, u, y, z, res, it, log)
 
 
 def _orig_b(sf):

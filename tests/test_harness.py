@@ -16,6 +16,7 @@ from fdsec.harness import (
     SweepSpec,
     TrialResult,
     _aggregate_point,
+    evaluate_instance,
     hd_precheck_fires,
     load_config,
     run_trial,
@@ -107,6 +108,9 @@ class TestRunTrial:
         for r in results:
             assert r.status in ("optimal", "primal_infeasible", "dual_infeasible",
                                 "max_iters", "numerical_failure")
+            if r.status == "primal_infeasible":
+                inst = evaluate_instance(cfg, seed, r.scheme)
+                assert checks.valid_ray(inst.problem, inst.report.multipliers)
         write_trials_csv(os.devnull, results, cfg)  # raises on a column not in the header
 
 

@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 from oracles import enumerate_lp_optimum, lp_problem, random_diagonal_instance
 
-from fdsec.problem import BlockValues, ConicProblem, LinearConstraint
+from fdsec.channel import SystemConfig, realize
+from fdsec.problem import (
+    BlockValues,
+    ConicProblem,
+    LinearConstraint,
+    build_baseline_problem,
+    build_hd_problem,
+)
+from fdsec.receivers import zf_receivers
 from fdsec.solver import Residuals, SolverOptions, SolverReport, kkt_residuals, solve
 
 
@@ -67,6 +75,10 @@ class TestTrivialPrograms:
         prob = lp_problem([1.0], [[0.0]], [">="], [2.0])
         rep = solve(prob)
         assert rep.status == "primal_infeasible"
+        # the row reads 0 >= 2: -A'y = 0 lies in the cone for every y, so the
+        # multipliers are a Farkas ray iff y >= 0 and b'y = 2 y > 0
+        y = rep.multipliers
+        assert y.shape == (1,) and y[0] > 0.0
 
 
 class TestDiagonalOracle:
@@ -191,19 +203,25 @@ class TestSolverProperties:
 
 
 class TestInfeasibilityRay:
-    def test_phase1_verdict_carries_a_farkas_ray(self):
-        # the no-AN probe of the paper scenario, seed 0: the main loop stalls
-        # and phase-1 decides the verdict
-        from fdsec.channel import SystemConfig, realize
-        from fdsec.problem import build_hd_problem
-        from fdsec.receivers import zf_receivers
+    SWEEP_6DB = SystemConfig(n_antennas=6, n_dl=2, n_ul=2, n_idle=1, gamma_dl_req_default_db=6.0)
 
-        cfg = SystemConfig()
-        _, chan = realize(cfg, 0)
-        prob, _ = build_hd_problem(chan, cfg, zf_receivers(chan.g))
+    @pytest.mark.parametrize("scheme, cfg, seed", [
+        # the no-AN probe of the paper scenario
+        pytest.param("hd", SystemConfig(), 0, id="paper-hd-0"),
+        pytest.param("hd", SystemConfig(), 52, id="paper-hd-52"),
+        pytest.param("hd", SystemConfig(), 58, id="paper-hd-58"),
+        # baseline2 on the sweep scenario at gamma_DL 6 dB
+        pytest.param("baseline2", SWEEP_6DB, 133, id="sweep-baseline2-133"),
+        pytest.param("baseline2", SWEEP_6DB, 160, id="sweep-baseline2-160"),
+    ])
+    def test_infeasibility_verdict_carries_a_farkas_ray(self, scheme, cfg, seed):
+        _, chan = realize(cfg, seed)
+        if scheme == "hd":
+            prob, _ = build_hd_problem(chan, cfg, zf_receivers(chan.g))
+        else:
+            prob, _ = build_baseline_problem(chan, cfg, zf_receivers(chan.g), scheme)
         rep = solve(prob, SolverOptions(mu_tol_factor=1e-3))
         assert rep.status == "primal_infeasible"
-        assert rep.phase1_iterations > 0
         y = rep.multipliers
         assert y.shape == (len(prob.constraints),) and np.all(y >= 0.0)
         # in >= orientation: sum s_i y_i A_i must be NSD on every PSD block and
