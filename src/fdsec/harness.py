@@ -4,17 +4,20 @@ One trial draws a channel, builds the scheme's problem, solves it,
 recovers and certifies the allocation, and evaluates all QoS metrics.
 Trials are keyed by seed, so any degree of parallelism yields identical
 results, and per-trial substreams derive as base seed + trial index.
+One sweep runs one process pool over all of its (value, seed, scheme)
+tasks, interleaved across values, one task per chunk.
 The half-duplex probe records a feasibility verdict only.
 """
 
 import csv
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass, field, fields, replace
+from itertools import product
 from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
-from scipy import stats
+from scipy.special import stdtrit
 
 from .certificates import dual_certificate, rebalance_powers
 from .channel import CONFIG_FIELD_TYPES, SystemConfig, realize, watt2dbm
@@ -180,16 +183,25 @@ def run_trial(cfg, seed, scheme, trial_id=0):
     )
 
 
+def _tasks(cfg, seeds, schemes):
+    """run_trial arguments of every (seed, scheme) pair, listed in (seed,
+    scheme) order; trial_id numbers them seed-major in the given order."""
+    tasks = [(cfg, seed, scheme, i) for i, (seed, scheme) in enumerate(product(seeds, schemes))]
+    return sorted(tasks, key=lambda t: t[1:3])
+
+
+def _run_tasks(tasks, jobs):
+    """run_trial on each argument tuple, in task order: in process for one
+    job or task, else one pool of at most jobs workers, one task per chunk."""
+    if jobs > 1 and len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+            return list(pool.map(run_trial, *zip(*tasks)))
+    return [run_trial(*t) for t in tasks]
+
+
 def run_trials(cfg, seeds, schemes, jobs=1):
     """All (seed, scheme) combinations, optionally in parallel, seed-ordered."""
-    tasks = [(seed, scheme) for seed in seeds for scheme in schemes]
-    args = ([cfg] * len(tasks), [t[0] for t in tasks], [t[1] for t in tasks], range(len(tasks)))
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_trial, *args, chunksize=4))
-    else:
-        results = list(map(run_trial, *args))
-    return sorted(results, key=lambda r: (r.seed, r.scheme))
+    return _run_tasks(_tasks(cfg, seeds, schemes), jobs)
 
 
 @dataclass(frozen=True)
@@ -258,14 +270,17 @@ def sweep(spec):
     commonly feasible seed are flagged by common_feasible == 0, never
     dropped. Returns (points, trial results).
     """
+    seeds = [spec.base_seed + i for i in range(spec.trials)]
+    per_value = len(seeds) * len(spec.schemes)
+    tasks = [t for value in spec.values
+             for t in _tasks(spec.config_for(value), seeds, spec.schemes)]
+    done = _run_tasks(tasks, spec.jobs)
     all_trials = []
     points = []
     comparable = [s for s in spec.schemes if s != "hd"]
-    for value in spec.values:
-        cfg = spec.config_for(value)
-        seeds = [spec.base_seed + i for i in range(spec.trials)]
+    for n, value in enumerate(spec.values):
         results = [replace(r, sweep_value=float(value))
-                   for r in run_trials(cfg, seeds, spec.schemes, jobs=spec.jobs)]
+                   for r in done[n * per_value:(n + 1) * per_value]]
         all_trials.extend(results)
         by_scheme = {s: [r for r in results if r.scheme == s] for s in spec.schemes}
         common_seeds = set(seeds) if comparable else set()
@@ -298,7 +313,7 @@ def summarize(results):
         feas = [r for r in rows_g if r.feasible]
         mean_w, mean, sd = _power_stats(feas)
         if sd > 0:
-            half = float(stats.t.ppf(0.5 + CONFIDENCE / 2, len(feas) - 1) * sd / np.sqrt(len(feas)))
+            half = float(stdtrit(len(feas) - 1, 0.5 + CONFIDENCE / 2) * sd / np.sqrt(len(feas)))
         else:
             half = 0.0 if feas else float("nan")
         rows.append(SummaryRow(

@@ -344,20 +344,21 @@ def _scale_dual_vec(sf, scal, vec):
     return out
 
 
-def _step_to_boundary(sf, scal, scaled_dir):
-    """Largest alpha with lambda + alpha*dir staying PSD / positive, scaled space."""
-    alpha = np.inf
+def _step_to_boundary(sf, scal, dx_scaled, dz_scaled):
+    """Largest alpha with lambda + alpha*dir staying PSD / positive, scaled
+    space, for the x and the z direction: one eigvalsh per group for both."""
+    dirs = np.stack((dx_scaled, dz_scaled))
+
+    def limit(cap, step):
+        # per direction, the least cap / -step over its entries with step < 0
+        ratio = np.divide(cap, -step, out=np.full(step.shape, np.inf), where=step < 0)
+        return ratio.min(axis=-1, initial=np.inf)
+
+    alpha = limit(scal.lam_orth, dirs[:, sf.n_sv:])
     for grp, lam in zip(sf.groups, scal.lam):
-        norm = grp.smat(scaled_dir) / np.sqrt(lam[:, :, np.newaxis] * lam[:, np.newaxis, :])
-        lo = np.linalg.eigvalsh(norm)[:, 0]
-        if np.any(lo < 0):
-            alpha = min(alpha, float(np.min(1.0 / -lo[lo < 0])))
-    dir_orth = scaled_dir[sf.n_sv:]
-    lam_orth = scal.lam_orth
-    neg = dir_orth < 0
-    if np.any(neg):
-        alpha = min(alpha, float(np.min(lam_orth[neg] / -dir_orth[neg])))
-    return alpha
+        norm = grp.smat(dirs) / np.sqrt(lam[:, :, np.newaxis] * lam[:, np.newaxis, :])
+        alpha = np.minimum(alpha, limit(1.0, np.linalg.eigvalsh(norm)[..., 0]))
+    return alpha.tolist()
 
 
 def _interior(sf, u, z):
@@ -423,8 +424,7 @@ def _newton_step(sf, u, y, z, r_p, r_d, mu):
         d_aff[grp.diag] = -lam
     d_aff[sf.n_sv:] = -scal.lam_orth
     dx_a, dy_a, dz_a, dxs_a, dzs_a = direction(d_aff)
-    alpha_xa = min(1.0, _step_to_boundary(sf, scal, dxs_a))
-    alpha_za = min(1.0, _step_to_boundary(sf, scal, dzs_a))
+    alpha_xa, alpha_za = (min(1.0, a) for a in _step_to_boundary(sf, scal, dxs_a, dzs_a))
     mu_aff = float((u + alpha_xa * dx_a) @ (z + alpha_za * dz_a)) / sf.cone_degree
     sigma = min(1.0, max(1e-10, (max(mu_aff, 0.0) / mu) ** 3))
 
@@ -441,8 +441,7 @@ def _newton_step(sf, u, y, z, r_p, r_d, mu):
     d_comb[sf.n_sv:] = (sigma * mu - lam_o ** 2 - dxs_a[sf.n_sv:] * dzs_a[sf.n_sv:]) / lam_o
 
     dx, dy, dz, dxs, dzs = direction(d_comb)
-    alpha_x = min(1.0, _FTB * _step_to_boundary(sf, scal, dxs))
-    alpha_z = min(1.0, _FTB * _step_to_boundary(sf, scal, dzs))
+    alpha_x, alpha_z = (min(1.0, _FTB * a) for a in _step_to_boundary(sf, scal, dxs, dzs))
 
     # fallback halving keeps the trial iterate strictly interior
     for _ in range(_MAX_HALVINGS):

@@ -1,9 +1,10 @@
 import csv
 import io
+import multiprocessing
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -150,6 +151,19 @@ class TestHdPrecheck:
         assert hd_precheck_fires(chan, cfg, rec) is False
 
 
+def same_trial(a, b):
+    """Equal keys, status, iterations and objective and margin bits, nan equal to nan."""
+    keys = ("trial_id", "seed", "scheme", "status", "iterations", "sweep_value",
+            "objective_w", "min_margin")
+    return all(same_value(getattr(a, k), getattr(b, k)) for k in keys)
+
+
+def same_value(a, b):
+    if isinstance(a, float) and isinstance(b, float):
+        return a.hex() == b.hex() or (np.isnan(a) and np.isnan(b))
+    return a == b
+
+
 class TestParallelism:
     def test_parallel_matches_serial(self):
         seeds = [10, 11, 12]
@@ -158,8 +172,33 @@ class TestParallelism:
         assert len(serial) == len(parallel)
         for a, b in zip(serial, parallel):
             assert a.seed == b.seed and a.scheme == b.scheme
+            assert a.status == b.status and a.iterations == b.iterations
             assert a.objective_w == b.objective_w
             assert a.min_margin == b.min_margin
+
+    def test_more_jobs_than_tasks(self):
+        serial = run_trials(SMALL, [3], ("optimal", "hd"), jobs=1)
+        parallel = run_trials(SMALL, [3], ("optimal", "hd"), jobs=4)
+        assert [r.scheme for r in parallel] == ["hd", "optimal"]
+        assert all(same_trial(a, b) for a, b in zip(serial, parallel, strict=True))
+        assert multiprocessing.active_children() == []
+
+    def test_pooled_sweep_matches_serial(self):
+        # 1 seed x 3 schemes per value, values out of order
+        spec = SweepSpec(parameter="gamma_dl_req_db", values=(12.0, 6.0), trials=1,
+                         schemes=("optimal", "baseline1", "baseline2"), base_config=SMALL,
+                         base_seed=4)
+        serial_points, serial = sweep(spec)
+        pooled_points, pooled = sweep(replace(spec, jobs=2))
+        assert multiprocessing.active_children() == []
+        assert [(r.sweep_value, r.scheme) for r in pooled] == [
+            (v, s) for v in (12.0, 6.0) for s in ("baseline1", "baseline2", "optimal")]
+        assert [r.trial_id for r in pooled] == [1, 2, 0, 1, 2, 0]
+        assert all(same_trial(a, b) for a, b in zip(serial, pooled, strict=True))
+        for a, b in zip(serial_points, pooled_points, strict=True):
+            for f in fields(a):
+                if f.name != "mean_solve_time":
+                    assert same_value(getattr(a, f.name), getattr(b, f.name)), f.name
 
 
 class TestSweep:
@@ -252,6 +291,12 @@ class TestSummaries:
             hi = rows[0].mean_dbm + rows[0].half_width_dbm
             cover += lo <= true_mean <= hi
         assert 0.90 <= cover / reps <= 0.99
+
+    def test_two_trial_interval_pins_the_t_quantile(self):
+        # t quantile at 97.5 % with 1 degree of freedom
+        rows = summarize([self.make("optimal", -10.0), self.make("optimal", -8.0)])
+        sd = np.std([-10.0, -8.0], ddof=1)
+        assert rows[0].half_width_dbm == 12.706204736174694 * sd / np.sqrt(2)
 
     def test_feasibility_rate(self):
         rows = summarize([self.make("optimal", -10.0), self.make("optimal", 0.0, feasible=False)])
