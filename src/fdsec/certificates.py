@@ -15,14 +15,12 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .linalg import eigvals_herm, herm_eig
-from .metrics import Allocation, link_model, quad_forms, quad_table
+from .metrics import Allocation, link_model, objective, quad_forms, quad_table
 from .problem import recover_allocation, recover_duals
 
 RANK_TOL = 1e-6
-# relative eavesdropper-cap deficit the power polish treats as held, and
-# the one it settles for when no AN patch closes every cap: the IPM's
-# default relative feasibility tolerance (SolverOptions.rel_tol)
-CAP_TOL = 1e-9
+# allowance on the eavesdropper-cap rows, per cap noise, that the power
+# polish settles for when no point along its directions holds every cap
 CAP_TOL_FALLBACK = 1e-7
 
 
@@ -97,13 +95,13 @@ def _multiplier(report, vmap, label):
 
 
 def _an_patch_matrices(chan, si_vecs):
-    """Unit-trace AN directions for microscopic eavesdropper-cap repairs.
+    """Unit-trace AN columns the power polish adds for the optimal scheme.
 
     One rank-one direction per eavesdropper m along P l_m, where P projects
     off the DL channels: it raises eavesdropper m's noise floor without
     touching any DL SINR, but it reaches the UL SINRs through the
     self-interference directions ``si_vecs``, so its feedback into the
-    powers is part of the joint solve in :func:`rebalance_powers`. When
+    powers is part of the LP of :func:`rebalance_powers`. When
     N > K + J, also the projector off span{DL channels, si_vecs}, which
     feeds nothing back into any power.
     """
@@ -129,114 +127,65 @@ def _an_patch_matrices(chan, si_vecs):
     return patches
 
 
-def _patch_coefficients(s0, s1, leak, cap0, loads, cost):
-    """Cheapest nonnegative patch coefficients that hold every cap.
+def rebalance_powers(alloc, chan, cfg, scheme):
+    """Exact power polish: one linear program along fixed directions.
 
-    The powers move as s0 + s1 @ eps, and cap row (m, t) asks for
-    leak[m, t] * power_t <= cap0[m] + loads[m] @ eps, normalised by its own
-    cap. A small LP closes the caps exactly when some patch can do it, else
-    holds them within CAP_TOL_FALLBACK. None when no patch holds them; the
-    caller verifies the answer on the allocation itself.
+    Each beam keeps the leading eigenvector of its raw matrix, so the
+    polished point is rank one by construction. With the directions fixed,
+    rows C1-C4 are linear in the K beam powers, the J UL powers and
+    nonnegative coefficients on fixed unit-trace AN columns: V / tr V when
+    tr V > 0, plus for the optimal scheme the directions of
+    :func:`_an_patch_matrices`. Their coefficients are the rows of
+    :func:`fdsec.metrics.quad_table` at unit-power beams and the quadratic
+    forms of the columns. One HiGHS LP minimises the weighted power over
+    them, each row divided by its noise (link rows) or its cap noise
+    (eavesdropper rows). Every variable is in one unit, the raw point's
+    objective, since HiGHS's tolerances are absolute. When no exact point
+    exists the cap rows are relaxed by CAP_TOL_FALLBACK. Returns None when
+    neither LP is solved.
     """
-    a_ub = (leak[:, :, np.newaxis] * s1[np.newaxis, :, :]
-            - loads[:, np.newaxis, :]) / cap0[:, np.newaxis, np.newaxis]
-    a_ub = a_ub.reshape(-1, s1.shape[1])
-    b_ub = (1.0 - leak * s0[np.newaxis, :] / cap0[:, np.newaxis]).ravel()
-    col_scale = np.abs(a_ub).max(axis=0)
-    if not np.all(np.isfinite(a_ub)) or np.any(col_scale <= 0.0):
-        return None
-    a_ub = a_ub / col_scale
-    for allowance in (0.0, CAP_TOL_FALLBACK):
-        res = linprog(cost / col_scale, A_ub=a_ub, b_ub=b_ub + allowance, bounds=(0.0, None),
-                      method="highs", options={"primal_feasibility_tolerance": 1e-10})
-        if res.status == 0:
-            return res.x / col_scale
-    return None
-
-
-def rebalance_powers(alloc, chan, cfg, an_repair="free"):
-    """Exact power polish along the extracted beam directions.
-
-    With beam directions fixed, the DL and UL SINR targets are linear in
-    the K beam powers and J uplink powers; the polish solves for the powers
-    that meet every target with equality. The linear system and the leak
-    table are the rows of :func:`fdsec.metrics.quad_table` at unit-power
-    beams. Solver-level wobble on the eavesdropper caps is absorbed by
-    microscopic additions to the AN covariance. Added noise feeds back
-    into the powers: through the self-interference directions it raises
-    the UL powers, and with them the UL leakage. So the patch coefficients
-    are solved JOINTLY with the powers, as one small linear program that
-    runs only when the pinned point leaves a cap deficit above CAP_TOL.
-    ``an_repair`` selects the patch family: "free" (fully optimized
-    scheme) uses the directions of :func:`_an_patch_matrices`, "scale"
-    (baselines) the existing fixed AN direction as a single column. The
-    result's caps are checked on its own table. Returns None when a beam
-    is not rank one, a power comes out nonpositive, no nonnegative patch
-    holds the caps within CAP_TOL_FALLBACK, or the repair is not tiny.
-    """
-    k_users = len(alloc.W)
-    directions = []
-    for w_mat in alloc.W:
-        ext = extract_beamformer(w_mat)
-        if not ext.rank_one:
-            return None
-        norm = np.linalg.norm(ext.w)
-        if norm == 0.0:
-            return None
-        directions.append(ext.w / norm)
-
+    k_users, n = len(alloc.W), alloc.V.shape[0]
+    directions = [herm_eig(w_mat)[1][:, 0] for w_mat in alloc.W]
+    tr_v = float(np.trace(alloc.V).real)
+    cols = [alloc.V / tr_v] if tr_v > 0.0 else []
     model = link_model(chan, alloc.receivers)
+    if scheme == "optimal":
+        cols += _an_patch_matrices(chan, model.vecs[k_users:])
+    cols = np.array(cols, dtype=complex).reshape(-1, n, n)
+
     unit = quad_table(Allocation(W=tuple(np.outer(d, d.conj()) for d in directions),
-                                 V=alloc.V, P=alloc.P, receivers=alloc.receivers), model)
+                                 V=np.zeros_like(alloc.V), P=alloc.P, receivers=alloc.receivers),
+                      model)
     targets = np.concatenate([cfg.dl_sinr_targets, cfg.ul_sinr_targets])
-    # C1 rows are about 1e-9 and C2 rows about 0.1 in size: divide each row
-    # of the system by its diagonal (own signal / target > 0) before solving
-    diag = unit.own / targets
-    base = np.eye(diag.size) - unit.cross / diag[:, np.newaxis]
-    # leakage coefficients: cap of eavesdropper m must cover every term
-    leak = unit.eve / cfg.eve_sinr_cap
-
-    try:
-        s0 = np.linalg.solve(base, (unit.an + unit.noise) / diag)
-    except np.linalg.LinAlgError:
+    links = unit.x.size
+    # C1/C2: interference + AN + noise <= own signal / target, per noise
+    a_link = np.hstack([unit.cross - np.diag(unit.own / targets), quad_forms(model.vecs, cols)])
+    a_link /= unit.noise[:, np.newaxis]
+    # C3/C4: leakage of link t over the cap <= AN + noise at idle user m, per noise
+    eve = (unit.eve / cfg.eve_sinr_cap)[:, :, np.newaxis] * np.eye(links)
+    eve_an = np.broadcast_to(quad_forms(model.eves, cols)[:, np.newaxis, :],
+                             (*unit.eve.shape, len(cols)))
+    a_eve = (np.concatenate([eve, -eve_an], axis=2)
+             / unit.eve_noise[:, np.newaxis, np.newaxis]).reshape(-1, links + len(cols))
+    raw_cost = objective(alloc, cfg)
+    a_ub = np.vstack([a_link, a_eve]) * raw_cost
+    cost = np.concatenate([np.full(k_users, cfg.alpha), np.full(links - k_users, cfg.beta),
+                           np.full(len(cols), cfg.alpha)])  # the columns are unit trace
+    for allowance in (0.0, CAP_TOL_FALLBACK):
+        b_ub = np.concatenate([np.full(links, -1.0), np.full(a_eve.shape[0], 1.0 + allowance)])
+        res = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=(0.0, None), method="highs",
+                      options={"primal_feasibility_tolerance": 1e-10})
+        if res.status == 0:
+            break
+    else:
         return None
-    if np.any(s0 <= 0.0) or not np.all(np.isfinite(s0)):
-        return None
 
-    cap0 = unit.eve_noise + unit.eve_an
-    powers, v_mat = s0, alloc.V
-    if leak.size and float(((leak * s0).max(axis=1) / cap0).max()) - 1.0 > CAP_TOL:
-        if an_repair == "free":
-            patches = _an_patch_matrices(chan, model.vecs[k_users:])
-        else:
-            tr_v = float(np.trace(alloc.V).real)
-            patches = [alloc.V / tr_v] if tr_v > 0.0 else []
-        if not patches:
-            return None
-        loads = quad_forms(model.eves, np.array(patches))
-        s1 = np.linalg.solve(base, quad_forms(model.vecs, np.array(patches)) / diag[:, np.newaxis])
-        weights = np.concatenate([np.full(k_users, cfg.alpha), np.full(alloc.P.size, cfg.beta)])
-        cost = weights @ s1 + cfg.alpha  # the patches are unit trace
-        eps = _patch_coefficients(s0, s1, leak, cap0, loads, cost)
-        if eps is None:
-            return None
-        powers = s0 + s1 @ eps
-        if np.any(powers <= 0.0) or not np.all(np.isfinite(powers)):
-            return None
-        if eps.sum() > 1e-3 * float(powers.sum()):
-            return None  # the optimum is never this loose; bail out
-        v_mat = alloc.V + sum(e * p for e, p in zip(eps, patches))
-
-    w_new = tuple(p * np.outer(d, d.conj())
-                  for p, d in zip(powers[:k_users], directions))
-    polished = Allocation(W=w_new, V=v_mat, P=powers[k_users:], receivers=alloc.receivers)
-    if v_mat is not alloc.V:
-        table = quad_table(polished, model)
-        margins = table.margins(cfg)
-        caps = (table.eve_noise + table.eve_an)[:, np.newaxis]
-        if float((np.hstack([margins.c3, margins.c4]) / caps).min(initial=0.0)) < -CAP_TOL_FALLBACK:
-            return None
-    return polished
+    x = raw_cost * res.x
+    return Allocation(
+        W=tuple(p * np.outer(d, d.conj()) for p, d in zip(x[:k_users], directions)),
+        V=np.einsum("i,inp->np", x[links:], cols), P=x[k_users:links],
+        receivers=alloc.receivers,
+    )
 
 
 def dual_certificate(report, chan, cfg, receivers, vmap, alloc=None):

@@ -36,8 +36,8 @@ SCHEMES = ("optimal", "baseline1", "baseline2", "hd")
 # solver statuses that end a trial without a verdict on feasibility
 FAILED_STATUSES = ("numerical_failure", "max_iters")
 
-# deep final complementarity so rank-one eigenvalue tails and constraint
-# tightness land well inside the certificate tolerances
+# deep final complementarity so the dual certificate's null-eigenvalue and
+# complementarity tests land well inside its tolerances
 TRIAL_SOLVER_OPTIONS = SolverOptions(mu_tol_factor=1e-3)
 
 # level of the t-interval on each scheme's mean power in summary.txt
@@ -122,12 +122,14 @@ def evaluate_instance(cfg, seed, scheme):
     """Build, solve, recover, polish, and certify one instance.
 
     Returns a namespace with the full intermediate products; run_trial
-    condenses it into a TrialResult row. After rank-one extraction the DL
-    beam powers are rebalanced so every DL SINR target is exactly tight,
-    which only reduces radiated power. The polished allocation is kept
-    when its worst row margin (slack / activity of the physical rows
-    C1-C5, :meth:`fdsec.metrics.Margins.worst`) is at least -2e-7; else
-    the raw solver point is. ``min_margin`` is that margin of the kept
+    condenses it into a TrialResult row. The solver point is polished by
+    one LP over the powers along fixed directions
+    (:func:`fdsec.certificates.rebalance_powers`): the leading eigenvector
+    of each beam matrix and the scheme's AN columns, so the polished point
+    is rank one. It is kept when its worst row margin (slack / activity of
+    the physical rows C1-C5, :meth:`fdsec.metrics.Margins.worst`) is at
+    least -2e-7; when the LP has no solution or misses that gate, the raw
+    solver point is kept. ``min_margin`` is that margin of the kept
     allocation.
     """
     if scheme not in SCHEMES:
@@ -152,11 +154,8 @@ def evaluate_instance(cfg, seed, scheme):
         return out
 
     raw = recover_allocation(report.primal, vmap, receivers)
-    polished = rebalance_powers(raw, chan, cfg,
-                                an_repair="free" if scheme == "optimal" else "scale")
+    polished = rebalance_powers(raw, chan, cfg, scheme)
     qos = None if polished is None else evaluate_qos(polished, chan, cfg)
-    # the polish pins the target constraints exactly; tolerate only an
-    # eps-level wobble on the remaining families
     if qos is not None and qos.margins.worst() >= -2e-7:
         out.alloc = polished
     else:

@@ -19,7 +19,6 @@ itself.
 """
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -32,7 +31,6 @@ class Allocation:
     V: np.ndarray            # (N, N) artificial-noise covariance
     P: np.ndarray            # (J,) UL transmit powers, W
     receivers: object        # ReceiverSet
-    w: Optional[tuple] = None  # extracted beamformers when rank one
 
     def __post_init__(self):
         object.__setattr__(self, "W", tuple(np.asarray(m, dtype=complex) for m in self.W))

@@ -4,7 +4,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fdsec.certificates import (
-    CAP_TOL,
     CertificateUnavailableError,
     NotPsdError,
     dual_certificate,
@@ -199,14 +198,14 @@ def assert_pinned_and_capped(prob, vmap, chan, cfg, polished):
         assert abs(slack) <= 1e-12 * scale, label
     caps = np.array([chan.sigma2_eve[m] + np.real(l_vec.conj() @ polished.V @ l_vec)
                      for m, l_vec in enumerate(chan.l)])
-    assert np.all(margins.c3 >= -CAP_TOL * caps[:, np.newaxis])
-    assert np.all(margins.c4 >= -CAP_TOL * caps[:, np.newaxis])
+    assert np.all(margins.c3 >= -1e-9 * caps[:, np.newaxis])
+    assert np.all(margins.c4 >= -1e-9 * caps[:, np.newaxis])
 
 
 class TestRebalancePowers:
-    # drops whose pinned powers leave eavesdropper-cap deficits that only a
-    # joint (powers, AN patch) solve closes: on 4006 the patch feeds back
-    # into the powers almost one for one, on 5008 more than one for one
+    # drops whose powers along the beam directions leave eavesdropper-cap
+    # deficits that only AN on the patch columns closes, fed back into the
+    # powers: on 4006 almost one for one, on 5008 more than one for one
     @pytest.mark.parametrize("cfg, seed", [
         (SystemConfig(), 4006),
         (SystemConfig(n_antennas=8, n_dl=5, n_ul=2, n_idle=4), 5008),
@@ -214,7 +213,7 @@ class TestRebalancePowers:
     def test_joint_patch_pins_targets_and_holds_caps(self, cfg, seed):
         chan, rec, prob, vmap, rep = solved_instance(cfg, seed, SolverOptions(mu_tol_factor=1e-3))
         assert rep.status == "optimal"
-        polished = rebalance_powers(recover_allocation(rep.primal, vmap, rec), chan, cfg)
+        polished = rebalance_powers(recover_allocation(rep.primal, vmap, rec), chan, cfg, "optimal")
         assert polished is not None
         assert_pinned_and_capped(prob, vmap, chan, cfg, polished)
         report = dual_certificate(rep, chan, cfg, rec, vmap, alloc=polished)
@@ -228,8 +227,7 @@ class TestRebalancePowers:
         rep = solve(prob, SolverOptions(mu_tol_factor=1e-3))
         assert rep.status == "optimal"
         raw = recover_allocation(rep.primal, vmap, rec)
-        polished = rebalance_powers(raw, chan, cfg, an_repair="scale")
+        polished = rebalance_powers(raw, chan, cfg, "baseline1")
         assert polished is not None
-        assert np.trace(polished.V).real > np.trace(raw.V).real  # the repair ran
         # allocation_to_blocks raises if V left the baseline direction
         assert_pinned_and_capped(prob, vmap, chan, cfg, polished)

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fdsec.certificates import rebalance_powers
 from fdsec.channel import SystemConfig, realize
 from fdsec.harness import (
     SCHEMES,
@@ -31,6 +32,7 @@ from fdsec.harness import (
     write_sweep_dat,
     write_trials_csv,
 )
+from fdsec.problem import recover_allocation
 from fdsec.receivers import zf_receivers
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
@@ -112,7 +114,29 @@ class TestRunTrial:
             if r.status == "primal_infeasible":
                 inst = evaluate_instance(cfg, seed, r.scheme)
                 assert checks.valid_ray(inst.problem, inst.report.multipliers)
+            elif r.status == "optimal" and r.scheme == "optimal":
+                assert checks.check_instance(evaluate_instance(cfg, seed, r.scheme)) == []
         write_trials_csv(os.devnull, results, cfg)  # raises on a column not in the header
+
+
+class TestPolish:
+    # sweep-scenario trials whose raw beam matrices miss rank one (lambda_2 /
+    # lambda_1 just above 1e-6) and whose raw points fail the checks
+    @pytest.mark.parametrize("gamma_db, seed, scheme", [
+        (18.0, 25, "optimal"), (6.0, 25, "baseline2"), (6.0, 3, "baseline1"),
+    ])
+    def test_kept_point_is_polished_and_passes(self, gamma_db, seed, scheme):
+        cfg = SystemConfig(n_antennas=6, n_dl=2, n_ul=2, n_idle=1,
+                           gamma_dl_req_default_db=gamma_db)
+        inst = evaluate_instance(cfg, seed, scheme)
+        assert inst.report.status == "optimal"
+        raw = recover_allocation(inst.report.primal, inst.vmap, inst.receivers)
+        polished = rebalance_powers(raw, inst.chan, cfg, scheme)
+        assert polished is not None
+        assert np.array_equal(inst.alloc.P, polished.P)
+        assert all(np.array_equal(a, b) for a, b in zip(inst.alloc.W, polished.W))
+        assert np.array_equal(inst.alloc.V, polished.V)
+        assert checks.check_instance(inst) == []
 
 
 class TestHdPrecheck:
