@@ -29,7 +29,7 @@ from .problem import (
     recover_allocation,
 )
 from .receivers import ReceiverSet, zf_receivers
-from .solver import Residuals, SolverOptions, SolverReport, kkt_residuals, solve
+from .solver import Residuals, SolverOptions, SolverReport, solve, solve_many
 
 __all__ = [
     "Allocation",
@@ -56,7 +56,6 @@ __all__ = [
     "dual_certificate",
     "evaluate_qos",
     "extract_beamformer",
-    "kkt_residuals",
     "noise_powers",
     "objective",
     "path_loss_db",
@@ -66,6 +65,7 @@ __all__ = [
     "run_trials",
     "sample_channels",
     "solve",
+    "solve_many",
     "summarize",
     "sweep",
     "zf_receivers",

@@ -24,6 +24,13 @@ from .harness import (
 SWEEP_PARAMS = {"gamma_dl": "gamma_dl_req_db", "antennas": "n_antennas"}
 
 
+def _jobs(text):
+    jobs = int(text)
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
+    return jobs
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="fdsec",
@@ -37,7 +44,7 @@ def build_parser():
     trial.add_argument("--trials", type=int, default=1, help="number of seeds")
     trial.add_argument("--scheme", default="optimal",
                        help="comma list from {optimal,baseline1,baseline2,hd}")
-    trial.add_argument("--jobs", type=int, default=1)
+    trial.add_argument("--jobs", type=_jobs, default=1)
     trial.add_argument("--out", default=".", help="output directory")
 
     swp = sub.add_parser("sweep", help="sweep a parameter and aggregate")
@@ -48,7 +55,7 @@ def build_parser():
     swp.add_argument("--scheme", default="optimal,baseline1,baseline2",
                      help="comma list of schemes to compare")
     swp.add_argument("--seed", type=int, default=0)
-    swp.add_argument("--jobs", type=int, default=1)
+    swp.add_argument("--jobs", type=_jobs, default=1)
     swp.add_argument("--out", default=".", help="output directory")
 
     summ = sub.add_parser("summarize", help="summarize an existing trials.csv")

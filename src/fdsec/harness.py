@@ -4,8 +4,13 @@ One trial draws a channel, builds the scheme's problem, solves it,
 recovers and certifies the allocation, and evaluates all QoS metrics.
 Trials are keyed by seed, so any degree of parallelism yields identical
 results, and per-trial substreams derive as base seed + trial index.
-One sweep runs one process pool over all of its (value, seed, scheme)
-tasks, interleaved across values, one task per chunk.
+Trials run in lockstep batches: the trials of one batch are prepared one by
+one, solved together by :func:`fdsec.solver.solve_many` (the trial is one
+more axis of every IPM stack, and each result is bit for bit that of a solo
+solve), and finished one by one. A batch holds at most ``BATCH_TRIALS``
+trials of one scheme and one system size, so sweep values of
+``gamma_dl_req_db`` share batches and those of ``n_antennas`` do not. One
+sweep runs one process pool over all of its batches, one batch per chunk.
 The half-duplex probe records a feasibility verdict only.
 """
 
@@ -29,7 +34,7 @@ from .problem import (
     recover_allocation,
 )
 from .receivers import zf_receivers
-from .solver import SolverOptions, solve
+from .solver import SolverOptions, solve, solve_many
 
 SCHEMES = ("optimal", "baseline1", "baseline2", "hd")
 
@@ -42,6 +47,9 @@ TRIAL_SOLVER_OPTIONS = SolverOptions(mu_tol_factor=1e-3)
 
 # level of the t-interval on each scheme's mean power in summary.txt
 CONFIDENCE = 0.95
+
+# most trials that one lockstep IPM batch runs together
+BATCH_TRIALS = 8
 
 
 @dataclass(frozen=True)
@@ -65,7 +73,7 @@ class TrialResult:
     min_margin: float              # worst slack / activity over rows C1-C5
     hd_precheck_infeasible: Optional[bool]
     iterations: int
-    solve_time: float
+    solve_time: float              # this trial's share of its lockstep solve
     qos: Optional[object]          # QosReport for solved trials
     rank: Optional[object]         # RankReport for solved trials
     sweep_value: Optional[float] = None
@@ -95,6 +103,7 @@ class SweepSpec:
         for s in self.schemes:
             if s not in SCHEMES:
                 raise ValueError(f"unknown scheme {s!r}")
+        _check_jobs(self.jobs)
 
     def config_for(self, value):
         if self.parameter == "gamma_dl_req_db":
@@ -132,6 +141,24 @@ def evaluate_instance(cfg, seed, scheme):
     solver point is kept. ``min_margin`` is that margin of the kept
     allocation.
     """
+    return evaluate_batch([(cfg, seed, scheme)])[0]
+
+
+def evaluate_batch(tasks):
+    """:func:`evaluate_instance` of each (cfg, seed, scheme) task, with
+    every problem solved in one :func:`fdsec.solver.solve_many` call; a
+    batch of one calls :func:`fdsec.solver.solve`."""
+    insts = [_prepare(*task) for task in tasks]
+    problems = [inst.problem for inst in insts]
+    if len(problems) == 1:
+        reports = [solve(problems[0], TRIAL_SOLVER_OPTIONS)]
+    else:
+        reports = solve_many(problems, TRIAL_SOLVER_OPTIONS)
+    return [_finish(inst, report) for inst, report in zip(insts, reports)]
+
+
+def _prepare(cfg, seed, scheme):
+    """Channel, receivers and conic problem of one task."""
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
     geometry, chan = realize(cfg, seed)
@@ -142,19 +169,22 @@ def evaluate_instance(cfg, seed, scheme):
         problem, vmap = build_hd_problem(chan, cfg, receivers)
     else:
         problem, vmap = build_baseline_problem(chan, cfg, receivers, scheme)
-
-    report = solve(problem, TRIAL_SOLVER_OPTIONS)
-    out = SimpleNamespace(
+    return SimpleNamespace(
         cfg=cfg, seed=seed, scheme=scheme, geometry=geometry, chan=chan,
-        receivers=receivers, problem=problem, vmap=vmap, report=report,
+        receivers=receivers, problem=problem, vmap=vmap, report=None,
         alloc=None, qos=None, rank=None, min_margin=float("nan"),
         precheck=hd_precheck_fires(chan, cfg, receivers) if scheme == "hd" else None,
     )
-    if scheme == "hd" or report.status != "optimal":
-        return out
 
-    raw = recover_allocation(report.primal, vmap, receivers)
-    polished = rebalance_powers(raw, chan, cfg, scheme)
+
+def _finish(out, report):
+    """Recover, polish and certify a prepared instance from its report."""
+    out.report = report
+    if out.scheme == "hd" or report.status != "optimal":
+        return out
+    chan, cfg = out.chan, out.cfg
+    raw = recover_allocation(report.primal, out.vmap, out.receivers)
+    polished = rebalance_powers(raw, chan, cfg, out.scheme)
     qos = None if polished is None else evaluate_qos(polished, chan, cfg)
     if qos is not None and qos.margins.worst() >= -2e-7:
         out.alloc = polished
@@ -162,17 +192,15 @@ def evaluate_instance(cfg, seed, scheme):
         out.alloc, qos = raw, evaluate_qos(raw, chan, cfg)
     out.qos = qos
     out.min_margin = qos.margins.worst()
-    out.rank = dual_certificate(report, chan, cfg, receivers, vmap, alloc=out.alloc)
+    out.rank = dual_certificate(report, chan, cfg, out.receivers, out.vmap, alloc=out.alloc)
     return out
 
 
-def run_trial(cfg, seed, scheme, trial_id=0):
-    """Full pipeline for one (config, seed, scheme) task."""
-    inst = evaluate_instance(cfg, seed, scheme)
+def _trial_result(inst, trial_id):
     alloc, nan = inst.alloc, float("nan")
     obj = nan if alloc is None else inst.qos.objective
     return TrialResult(
-        trial_id=trial_id, seed=seed, scheme=scheme, status=inst.report.status,
+        trial_id=trial_id, seed=inst.seed, scheme=inst.scheme, status=inst.report.status,
         objective_w=obj, objective_dbm=float(watt2dbm(obj)),
         dl_power_w=nan if alloc is None else dl_power(alloc),
         ul_powers_w=() if alloc is None else tuple(float(p) for p in alloc.P),
@@ -182,6 +210,17 @@ def run_trial(cfg, seed, scheme, trial_id=0):
     )
 
 
+def run_trial(cfg, seed, scheme, trial_id=0):
+    """Full pipeline for one (config, seed, scheme) task."""
+    return _trial_result(evaluate_instance(cfg, seed, scheme), trial_id)
+
+
+def _run_batch(tasks):
+    """run_trial of each (cfg, seed, scheme, trial_id) task, solved in lockstep."""
+    insts = evaluate_batch([task[:3] for task in tasks])
+    return [_trial_result(inst, task[3]) for inst, task in zip(insts, tasks)]
+
+
 def _tasks(cfg, seeds, schemes):
     """run_trial arguments of every (seed, scheme) pair, listed in (seed,
     scheme) order; trial_id numbers them seed-major in the given order."""
@@ -189,17 +228,48 @@ def _tasks(cfg, seeds, schemes):
     return sorted(tasks, key=lambda t: t[1:3])
 
 
+def _check_jobs(jobs):
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+
+
+def _batches(tasks, jobs):
+    """Task indices per lockstep batch. Tasks of one scheme and system size
+    form a group; each group is dealt round-robin into at least ``jobs``
+    batches (fewer only when it has fewer tasks) of at most BATCH_TRIALS,
+    so every worker gets a share of every scheme."""
+    groups = {}
+    for i, (cfg, _, scheme, _) in enumerate(tasks):
+        key = (scheme, cfg.n_antennas, cfg.n_dl, cfg.n_ul, cfg.n_idle)
+        groups.setdefault(key, []).append(i)
+    batches = []
+    for members in groups.values():
+        count = max(-(-len(members) // BATCH_TRIALS), min(jobs, len(members)))
+        batches += [members[k::count] for k in range(count)]
+    return batches
+
+
 def _run_tasks(tasks, jobs):
-    """run_trial on each argument tuple, in task order: in process for one
-    job or task, else one pool of at most jobs workers, one task per chunk."""
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            return list(pool.map(run_trial, *zip(*tasks)))
-    return [run_trial(*t) for t in tasks]
+    """run_trial on each argument tuple, in task order, by lockstep batches:
+    in process for one job or batch, else one pool of at most jobs workers,
+    one batch per chunk."""
+    batches = _batches(tasks, jobs)
+    work = [[tasks[i] for i in batch] for batch in batches]
+    if jobs > 1 and len(work) > 1:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(work))) as pool:
+            done = list(pool.map(_run_batch, work))
+    else:
+        done = [_run_batch(w) for w in work]
+    results = [None] * len(tasks)
+    for batch, rows in zip(batches, done):
+        for i, row in zip(batch, rows):
+            results[i] = row
+    return results
 
 
 def run_trials(cfg, seeds, schemes, jobs=1):
     """All (seed, scheme) combinations, optionally in parallel, seed-ordered."""
+    _check_jobs(jobs)
     return _run_tasks(_tasks(cfg, seeds, schemes), jobs)
 
 

@@ -77,29 +77,6 @@ class ConicProblem:
                 raise ValueError(f"{con.label}: non-finite constant")
         return self
 
-    def constraint_value(self, con, values):
-        acc = float(con.orthant_coeffs @ values.orthant) if self.orthant_dim else 0.0
-        for b, c in con.psd_coeffs.items():
-            acc += float(np.sum(c * values.psd[b]))
-        return acc
-
-    def slacks(self, values):
-        """Signed slack per constraint (nonnegative means satisfied)."""
-        out = np.empty(len(self.constraints))
-        for i, con in enumerate(self.constraints):
-            v = self.constraint_value(con, values)
-            out[i] = v - con.constant if con.sense == ">=" else con.constant - v
-        return out
-
-    def objective_value(self, values):
-        acc = float(self.objective_orthant @ values.orthant) if self.orthant_dim else 0.0
-        for b, c in enumerate(self.objective_psd):
-            acc += float(np.sum(c * values.psd[b]))
-        return acc
-
-    def labels(self):
-        return [con.label for con in self.constraints]
-
 
 @dataclass(frozen=True)
 class VariableMap:
@@ -115,10 +92,6 @@ class VariableMap:
     v_orthant_index: Optional[int] = None
     v_direction: Optional[np.ndarray] = None  # unit-trace Hermitian direction
     row_index: dict = field(default_factory=dict)
-
-    def rows(self, prefix):
-        """(label, row) pairs for one constraint family, in built order."""
-        return [(lab, i) for lab, i in self.row_index.items() if lab.startswith(prefix)]
 
 
 def _embed_real(h):
@@ -286,24 +259,6 @@ def build_baseline_problem(chan, cfg, receivers, scheme):
 def build_hd_problem(chan, cfg, receivers):
     """Probe with artificial noise forced to zero (half-duplex style BS)."""
     return _assemble(chan, cfg, receivers, "none")
-
-
-def allocation_to_blocks(alloc, vmap):
-    """Embed an allocation into the block layout of the built problem."""
-    psd = [None] * (vmap.k_users + (1 if vmap.v_block is not None else 0))
-    for k, b in enumerate(vmap.w_blocks):
-        psd[b] = _embed_real(alloc.W[k])
-    orth = np.zeros(vmap.j_users + (1 if vmap.v_orthant_index is not None else 0))
-    orth[: vmap.j_users] = alloc.P
-    if vmap.v_block is not None:
-        psd[vmap.v_block] = _embed_real(alloc.V)
-    elif vmap.v_orthant_index is not None:
-        d = vmap.v_direction
-        scale = float(np.trace(alloc.V).real)
-        if scale > 0 and np.abs(alloc.V - scale * d).max() > 1e-8 * max(1.0, np.abs(alloc.V).max()):
-            raise ValueError("allocation AN covariance is not on the baseline direction")
-        orth[vmap.v_orthant_index] = scale
-    return BlockValues(psd=tuple(psd), orthant=orth)
 
 
 def recover_allocation(values, vmap, receivers):

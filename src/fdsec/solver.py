@@ -9,24 +9,30 @@ all reported quantities are unscaled back to the original data.
 
 Infeasibility is decided on the iterates themselves: once the dual
 iterate y of an infeasible program grows along a Farkas ray, the exact
-test ``_farkas_ray`` accepts it, with every cone violation measured
+test ``_farkas_rays`` accepts it, with every cone violation measured
 against the magnitude of the terms it sums (Todd, "Detecting infeasibility
 in infeasible-interior-point methods for optimization", 2004).
 
 The PSD blocks are stacked by size: each group of same-size blocks is one
 (B, d, d) array, gathered from and scattered to the svec vector through
-precomputed index maps, so every kernel of an iteration (scaling point,
-scaled vectors, direction, targets, step to the boundary, interior check)
-is one batched numpy/LAPACK call per group rather than one per block.
+precomputed index maps. Programs with the same standard-form layout run
+through the loop in lockstep, with the trial as one more leading axis
+(``solve_many``): every kernel of an iteration (scaling point, scaled rows,
+direction, targets, step to the boundary, interior check) is one batched
+numpy/LAPACK call per group for all of them, and a trial that exits leaves
+the stacks. Each batched call computes every trial's slice exactly as a
+call on that trial alone would, so each report is bit for bit the one a
+solve of that program alone returns. The Schur factorization, its
+refinement and all scalar tests stay per trial.
 """
 
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .problem import BlockValues
 
@@ -58,6 +64,10 @@ class Residuals:
     primal: float
     dual: float
     gap: float
+
+
+# the residuals of a trial that ends before any test decides it
+_UNKNOWN = Residuals(np.inf, np.inf, np.inf)
 
 
 @dataclass(frozen=True)
@@ -266,18 +276,14 @@ class _StandardForm:
             ok = _embedding_symmetric(cmats) & _embedding_symmetric(mats).all(axis=1)
             if ok.any():
                 self.sym_groups.append(_BlockGroup(grp.d, grp.blocks[ok], self.block_starts))
+        # programs of one layout share every index map and size above
+        self.layout = (tuple(self.psd_dims), self.n_orth_vars, m, tuple(self.kept.tolist()),
+                       tuple(tuple(grp.blocks.tolist()) for grp in self.sym_groups))
 
     @cached_property
     def row_norms(self):
         """Per group, the (B, mk) spectral norms of each block of each scaled row."""
         return [np.abs(np.linalg.eigvalsh(mats)).max(axis=-1) for mats in self.a_mats]
-
-    def project_structured(self, vec):
-        """Average each structured block with its symmetry image, in place."""
-        for grp in self.sym_groups:
-            m = grp.smat(vec)
-            vec[grp.cols] = grp.svec(0.5 * (m + _embedding_image(m)))
-        return vec
 
     # -- views ---------------------------------------------------------------
 
@@ -299,230 +305,377 @@ class _StandardForm:
         return y_orig, z_orig
 
 
-class _Scaling:
-    """Nesterov-Todd scaling point for one iterate, one (B, d, d) stack per group."""
+# ---------------------------------------------------------------------------
+# trials of one layout, stacked
 
-    def __init__(self, sf, u, z):
+
+class _Stack:
+    """The scaled data of programs that share one standard-form layout, each
+    array with the trial as its leading axis. ``lay`` is the first trial's
+    form: every trial shares its index maps and sizes."""
+
+    def __init__(self, sfs):
+        self.sfs = sfs
+        self.lay = sfs[0]
+
+        def stack(arrays):
+            # a lone trial's arrays need no copy
+            return arrays[0][np.newaxis] if len(arrays) == 1 else np.stack(arrays)
+
+        self.a = stack([sf.a_full for sf in sfs])
+        self.a_t = _t(self.a)
+        self.b = stack([sf.b for sf in sfs])
+        self.c = stack([sf.c_full for sf in sfs])
+        self.a_mats = [stack(mats) for mats in zip(*(sf.a_mats for sf in sfs))]
+        self.col_scale = stack([sf.col_scale for sf in sfs])
+        self.row_scale = stack([sf.row_scale for sf in sfs])
+        self.b_scale = np.array([[sf.b_scale] for sf in sfs])
+        self.obj_scale = np.array([[sf.obj_scale] for sf in sfs])
+        self.c_orig = stack([sf.c_orig for sf in sfs])
+        self.norm_b = 1.0 + np.abs(self.b).max(axis=1, initial=0.0)
+        self.norm_c = 1.0 + np.abs(self.c).max(axis=1, initial=0.0)
+        # constants of the kept rows in original units, >= orientation
+        self.b_orig = self.b * self.b_scale / self.row_scale
+        self.b_orig_norm = 1.0 + np.abs(self.b_orig).max(axis=1, initial=0.0)
+        self.c_orig_norm = 1.0 + np.abs(self.c_orig).max(axis=1, initial=0.0)
+
+    def take(self, rows):
+        return _Stack([self.sfs[r] for r in rows])
+
+
+# Per-trial products on stacks. Each is a batched matmul whose slices are
+# the very BLAS call (gemv, dot) that the same product of one trial makes,
+# so the results match it bit for bit; sum(-1) and einsum reduce in another
+# order and would not.
+
+
+def _mv(mats, vecs):
+    """(T, p) products of (T, p, q) matrices and (T, q) vectors."""
+    return np.matmul(mats, vecs[..., np.newaxis])[..., 0]
+
+
+def _vm(vecs, mats):
+    """(T, q) products of (T, p) vectors and (T, p, q) matrices."""
+    return np.matmul(vecs[:, np.newaxis, :], mats)[:, 0]
+
+
+def _dot(u, v):
+    """(T,) dot products of two (T, n) stacks."""
+    return np.matmul(u[:, np.newaxis, :], v[..., np.newaxis])[:, 0, 0]
+
+
+class _Breakdown(np.linalg.LinAlgError):
+    """The Newton step broke down for the trials at these rows of the stack."""
+
+    def __init__(self, rows):
+        self.rows = [int(r) for r in rows]
+        super().__init__(f"breakdown in stack rows {self.rows}")
+
+
+def _break_where(mask):
+    if mask.any():
+        raise _Breakdown(np.flatnonzero(mask))
+
+
+def _by_trial(kernel, stack):
+    """A LAPACK kernel on a (T, ...) stack in one call. The batched call
+    raises for the whole stack when one slice fails, so then each trial
+    runs alone, and those that fail alone break down."""
+    try:
+        return kernel(stack)
+    except np.linalg.LinAlgError:
+        failed = []
+        for r in range(len(stack)):
+            try:
+                kernel(stack[r:r + 1])
+            except np.linalg.LinAlgError:
+                failed.append(r)
+        raise _Breakdown(failed or range(len(stack))) from None
+
+
+class _Scaling:
+    """Nesterov-Todd scaling points of stacked iterates, one (T, B, d, d)
+    stack per group."""
+
+    def __init__(self, lay, u, z):
         self.g = []
         self.lam = []
-        for grp in sf.groups:
-            lx = np.linalg.cholesky(grp.smat(u))
+        for grp in lay.groups:
+            lx = _by_trial(np.linalg.cholesky, grp.smat(u))
             core = _t(lx) @ grp.smat(z) @ lx
             core = 0.5 * (core + _t(core))
-            lam_sq, q = np.linalg.eigh(core)
-            if np.any(lam_sq[:, 0] <= 0.0):
-                raise np.linalg.LinAlgError("scaling matrix not positive definite")
+            lam_sq, q = _by_trial(np.linalg.eigh, core)
+            _break_where((lam_sq[..., 0] <= 0.0).any(axis=-1))  # scaling not positive definite
             lam = np.sqrt(lam_sq)
-            self.g.append(lx @ (q * (lam ** -0.5)[:, np.newaxis, :]))
+            self.g.append(lx @ (q * (lam ** -0.5)[..., np.newaxis, :]))
             self.lam.append(lam)
-        x_orth = u[sf.n_sv:]
-        z_orth = z[sf.n_sv:]
-        if np.any(x_orth <= 0.0) or np.any(z_orth <= 0.0):
-            raise np.linalg.LinAlgError("orthant iterate left the interior")
+        x_orth = u[:, lay.n_sv:]
+        z_orth = z[:, lay.n_sv:]
+        _break_where((x_orth <= 0.0).any(axis=1) | (z_orth <= 0.0).any(axis=1))
         self.w_orth = np.sqrt(x_orth / z_orth)
         self.lam_orth = np.sqrt(x_orth * z_orth)
 
 
-def _scaled_rows(sf, scal):
+def _scaled_rows(st, scal):
     """Rows of A in the scaled space: svec(G' A_i G) per block, w*a on the orthant."""
-    atil = np.empty((len(sf.kept), sf.n_total))
-    for grp, a_mats, g in zip(sf.groups, sf.a_mats, scal.g):
-        # one product per block over all rows: broadcasting the (B, d, d)
-        # stack against (B, m, d, d) would leave numpy's BLAS path
-        for cols, a_blk, g_blk in zip(grp.cols, a_mats, g):
-            atil[:, cols] = grp.svec(np.matmul(g_blk.T, np.matmul(a_blk, g_blk)))
-    atil[:, sf.n_sv:] = sf.a_full[:, sf.n_sv:] * scal.w_orth[np.newaxis, :]
+    lay = st.lay
+    atil = np.empty((len(st.sfs), len(lay.kept), lay.n_total))
+    for grp, a_mats, g in zip(lay.groups, st.a_mats, scal.g):
+        # one product per block over all trials and rows: broadcasting the
+        # (T, B, d, d) stack against (T, B, m, d, d) runs several times slower
+        for j, cols in enumerate(grp.cols):
+            g_blk = g[:, j, np.newaxis]
+            atil[:, :, cols] = grp.svec(np.matmul(_t(g_blk), np.matmul(a_mats[:, j], g_blk)))
+    atil[:, :, lay.n_sv:] = st.a[:, :, lay.n_sv:] * scal.w_orth[:, np.newaxis, :]
     return atil
 
 
-def _scale_dual_vec(sf, scal, vec):
-    """Apply the scaling to a z-space vector: svec(G' M G) blocks, w*v orthant."""
+def _scale_dual_vec(lay, scal, vec):
+    """Apply the scaling to z-space vectors: svec(G' M G) blocks, w*v orthant."""
     out = np.empty_like(vec)
-    for grp, g in zip(sf.groups, scal.g):
-        out[grp.cols] = grp.svec(_t(g) @ grp.smat(vec) @ g)
-    out[sf.n_sv:] = scal.w_orth * vec[sf.n_sv:]
+    for grp, g in zip(lay.groups, scal.g):
+        out[:, grp.cols] = grp.svec(_t(g) @ grp.smat(vec) @ g)
+    out[:, lay.n_sv:] = scal.w_orth * vec[:, lay.n_sv:]
     return out
 
 
-def _step_to_boundary(sf, scal, dx_scaled, dz_scaled):
-    """Largest alpha with lambda + alpha*dir staying PSD / positive, scaled
-    space, for the x and the z direction: one eigvalsh per group for both."""
-    dirs = np.stack((dx_scaled, dz_scaled))
+def _step_to_boundary(lay, scal, dx_scaled, dz_scaled):
+    """Per trial, the largest alpha with lambda + alpha*dir staying PSD /
+    positive, scaled space, for the x and the z direction: one eigvalsh per
+    group for both."""
+    dirs = np.stack((dx_scaled, dz_scaled), axis=1)
 
     def limit(cap, step):
         # per direction, the least cap / -step over its entries with step < 0
         ratio = np.divide(cap, -step, out=np.full(step.shape, np.inf), where=step < 0)
         return ratio.min(axis=-1, initial=np.inf)
 
-    alpha = limit(scal.lam_orth, dirs[:, sf.n_sv:])
-    for grp, lam in zip(sf.groups, scal.lam):
-        norm = grp.smat(dirs) / np.sqrt(lam[:, :, np.newaxis] * lam[:, np.newaxis, :])
-        alpha = np.minimum(alpha, limit(1.0, np.linalg.eigvalsh(norm)[..., 0]))
+    alpha = limit(scal.lam_orth[:, np.newaxis, :], dirs[..., lay.n_sv:])
+    for grp, lam in zip(lay.groups, scal.lam):
+        scale = np.sqrt(lam[..., :, np.newaxis] * lam[..., np.newaxis, :])
+        norm = grp.smat(dirs) / scale[:, np.newaxis]
+        alpha = np.minimum(alpha, limit(1.0, _by_trial(np.linalg.eigvalsh, norm)[..., 0]))
     return alpha.tolist()
 
 
-def _interior(sf, u, z):
-    """Strict cone interior check for a trial iterate."""
-    if np.any(u[sf.n_sv:] <= 0.0) or np.any(z[sf.n_sv:] <= 0.0):
-        return False
-    pair = np.stack((u, z))
-    try:
-        for grp in sf.groups:
-            np.linalg.cholesky(grp.smat(pair))
-    except np.linalg.LinAlgError:
-        return False
-    return True
-
-
-def _newton_step(sf, u, y, z, r_p, r_d, mu):
-    """One Mehrotra predictor-corrector step from an interior iterate.
-
-    Returns the next iterate and its step lengths (u, y, z, alpha_x,
-    alpha_z). Raises numpy.linalg.LinAlgError when the scaling point, the
-    Schur complement or the fallback step back into the cone breaks down.
-    """
-    a = sf.a_full
-    mk = len(sf.kept)
-    scal = _Scaling(sf, u, z)
-    atil = _scaled_rows(sf, scal)
-    schur = atil @ atil.T
-    if not np.all(np.isfinite(schur)):
-        raise np.linalg.LinAlgError("Schur complement is not finite")
-    reg = 1e-14 * (1.0 + np.trace(schur) / mk)
-    for _ in range(4):
+def _interior(lay, u, z):
+    """Per trial, whether the iterate is strictly inside the cone."""
+    inside = ~((u[:, lay.n_sv:] <= 0.0).any(axis=1) | (z[:, lay.n_sv:] <= 0.0).any(axis=1))
+    pair = np.stack((u, z), axis=1)
+    for grp in lay.groups:
         try:
-            factor = cho_factor(schur + reg * np.eye(mk), lower=True)
-            break
-        except (np.linalg.LinAlgError, ValueError):
-            reg *= 1e3
-    else:
-        raise np.linalg.LinAlgError("regularized Schur complement is not positive definite")
+            _by_trial(np.linalg.cholesky, grp.smat(pair))
+        except _Breakdown as exc:
+            inside[exc.rows] = False
+    return inside
 
-    rd_scaled = _scale_dual_vec(sf, scal, r_d)
+
+def _project_structured(lay, vec):
+    """Average each structured block with its symmetry image, in place."""
+    for grp in lay.sym_groups:
+        m = grp.smat(vec)
+        vec[:, grp.cols] = grp.svec(0.5 * (m + _embedding_image(m)))
+    return vec
+
+
+def _newton_step(st, u, y, z, r_p, r_d, mu):
+    """One Mehrotra predictor-corrector step from stacked interior iterates.
+
+    ``mu`` holds each trial's complementarity. Returns the next iterates and
+    each trial's step lengths (u, y, z, alpha_x, alpha_z). Raises _Breakdown
+    for the trials whose scaling point, Schur complement or fallback step
+    back into the cone breaks down.
+    """
+    lay = st.lay
+    mk = len(lay.kept)
+    scal = _Scaling(lay, u, z)
+    atil = _scaled_rows(st, scal)
+    schur = atil @ _t(atil)
+    _break_where(~np.isfinite(schur).all(axis=(1, 2)))
+    # LAPACK's potrf and potrs, as scipy's cho_factor and cho_solve call them,
+    # without those wrappers' checks, which cost several solves at this size
+    factors, failed = [], []
+    for r, s in enumerate(schur):
+        reg = 1e-14 * (1.0 + np.trace(s) / mk)
+        for _ in range(4):
+            factor, info = dpotrf(s + reg * np.eye(mk), lower=True, clean=False)
+            if info == 0:
+                factors.append(factor)
+                break
+            reg *= 1e3
+        else:
+            failed.append(r)  # regularized Schur complement is not positive definite
+    if failed:
+        raise _Breakdown(failed)
+
+    rd_scaled = _scale_dual_vec(lay, scal, r_d)
 
     def direction(d_target):
-        rhs = r_p - atil @ (d_target - rd_scaled)
-        # the Schur matrix was checked finite and every iterate is checked
-        dy = cho_solve(factor, rhs, check_finite=False)
-        for _ in range(4):  # refinement against the unregularized system
-            resid = rhs - schur @ dy
-            if np.abs(resid).max() <= 1e-15 * max(1.0, np.abs(rhs).max()):
-                break
-            dy = dy + cho_solve(factor, resid, check_finite=False)
-        dz = r_d - a.T @ dy
-        dz_scaled = _scale_dual_vec(sf, scal, dz)
+        rhs = r_p - _mv(atil, d_target - rd_scaled)
+        dy = np.empty_like(rhs)
+        for r, (factor, s, b) in enumerate(zip(factors, schur, rhs)):
+            d = dpotrs(factor, b, lower=True)[0]
+            tol = 1e-15 * max(1.0, np.abs(b).max())
+            for _ in range(4):  # refinement against the unregularized system
+                resid = b - s @ d
+                if np.abs(resid).max() <= tol:
+                    break
+                d = d + dpotrs(factor, resid, lower=True)[0]
+            dy[r] = d
+        dz = r_d - _mv(st.a_t, dy)
+        dz_scaled = _scale_dual_vec(lay, scal, dz)
         dx_scaled = d_target - dz_scaled
-        dx = np.empty(sf.n_total)
-        for grp, g in zip(sf.groups, scal.g):
-            dx[grp.cols] = grp.svec(g @ grp.smat(dx_scaled) @ _t(g))
-        dx[sf.n_sv:] = scal.w_orth * dx_scaled[sf.n_sv:]
+        dx = np.empty_like(dx_scaled)
+        for grp, g in zip(lay.groups, scal.g):
+            dx[:, grp.cols] = grp.svec(g @ grp.smat(dx_scaled) @ _t(g))
+        dx[:, lay.n_sv:] = scal.w_orth * dx_scaled[:, lay.n_sv:]
         return dx, dy, dz, dx_scaled, dz_scaled
 
     # predictor: drive complementarity to zero
-    d_aff = np.zeros(sf.n_total)
-    for grp, lam in zip(sf.groups, scal.lam):
-        d_aff[grp.diag] = -lam
-    d_aff[sf.n_sv:] = -scal.lam_orth
+    d_aff = np.zeros_like(u)
+    for grp, lam in zip(lay.groups, scal.lam):
+        d_aff[:, grp.diag] = -lam
+    d_aff[:, lay.n_sv:] = -scal.lam_orth
     dx_a, dy_a, dz_a, dxs_a, dzs_a = direction(d_aff)
-    alpha_xa, alpha_za = (min(1.0, a) for a in _step_to_boundary(sf, scal, dxs_a, dzs_a))
-    mu_aff = float((u + alpha_xa * dx_a) @ (z + alpha_za * dz_a)) / sf.cone_degree
-    sigma = min(1.0, max(1e-10, (max(mu_aff, 0.0) / mu) ** 3))
+    alpha = np.array([[min(1.0, a) for a in pair]
+                      for pair in _step_to_boundary(lay, scal, dxs_a, dzs_a)])
+    mu_aff = (_dot(u + alpha[:, :1] * dx_a, z + alpha[:, 1:] * dz_a) / lay.cone_degree).tolist()
+    sigma_mu = np.array([min(1.0, max(1e-10, (max(m_aff, 0.0) / m) ** 3)) * m
+                         for m_aff, m in zip(mu_aff, mu.tolist())])
 
     # corrector: recentre and take out the second-order term
-    d_comb = np.empty(sf.n_total)
-    for grp, lam in zip(sf.groups, scal.lam):
+    d_comb = np.empty_like(u)
+    for grp, lam in zip(lay.groups, scal.lam):
         u_mat = grp.smat(dxs_a)
         v_mat = grp.smat(dzs_a)
         cross = 0.5 * (u_mat @ v_mat + v_mat @ u_mat)
-        r_mat = sigma * mu * np.eye(grp.d) - _diag(lam ** 2) - cross
-        d_mat = 2.0 * r_mat / (lam[:, :, np.newaxis] + lam[:, np.newaxis, :])
-        d_comb[grp.cols] = grp.svec(d_mat)
+        target = sigma_mu[:, np.newaxis, np.newaxis, np.newaxis] * np.eye(grp.d)
+        r_mat = target - _diag(lam ** 2) - cross
+        d_mat = 2.0 * r_mat / (lam[..., :, np.newaxis] + lam[..., np.newaxis, :])
+        d_comb[:, grp.cols] = grp.svec(d_mat)
     lam_o = scal.lam_orth
-    d_comb[sf.n_sv:] = (sigma * mu - lam_o ** 2 - dxs_a[sf.n_sv:] * dzs_a[sf.n_sv:]) / lam_o
+    d_comb[:, lay.n_sv:] = (sigma_mu[:, np.newaxis] - lam_o ** 2
+                            - dxs_a[:, lay.n_sv:] * dzs_a[:, lay.n_sv:]) / lam_o
 
     dx, dy, dz, dxs, dzs = direction(d_comb)
-    alpha_x, alpha_z = (min(1.0, _FTB * a) for a in _step_to_boundary(sf, scal, dxs, dzs))
+    alpha = np.array([[min(1.0, _FTB * a) for a in pair]
+                      for pair in _step_to_boundary(lay, scal, dxs, dzs)])
 
-    # fallback halving keeps the trial iterate strictly interior
-    for _ in range(_MAX_HALVINGS):
-        u_new = u + alpha_x * dx
-        z_new = z + alpha_z * dz
-        if _interior(sf, u_new, z_new):
-            return (sf.project_structured(u_new), y + alpha_z * dy,
-                    sf.project_structured(z_new), alpha_x, alpha_z)
-        alpha_x *= 0.5
-        alpha_z *= 0.5
-    raise np.linalg.LinAlgError("no step keeps the iterate inside the cone")
+    # fallback halving keeps each trial's iterate strictly interior
+    u_new = u + alpha[:, :1] * dx
+    z_new = z + alpha[:, 1:] * dz
+    todo = np.flatnonzero(~_interior(lay, u_new, z_new))
+    for _ in range(_MAX_HALVINGS - 1):
+        if not todo.size:
+            break
+        alpha[todo] *= 0.5
+        u_new[todo] = u[todo] + alpha[todo, :1] * dx[todo]
+        z_new[todo] = z[todo] + alpha[todo, 1:] * dz[todo]
+        todo = todo[~_interior(lay, u_new[todo], z_new[todo])]
+    if todo.size:
+        raise _Breakdown(todo)  # no step keeps the iterate inside the cone
+    return (_project_structured(lay, u_new), y + alpha[:, 1:] * dy,
+            _project_structured(lay, z_new), alpha[:, 0].tolist(), alpha[:, 1].tolist())
 
 
-def _farkas_ray(sf, y, tol):
-    """Whether multipliers y prove the scaled rows A u = b, u in K infeasible.
+def _farkas_rays(st, y, aty, tol):
+    """Per trial, whether multipliers y prove the scaled rows A u = b, u in K
+    infeasible; ``aty`` holds A'y.
 
     A Farkas ray has b'y > 0 and -A'y in the cone (y >= 0 on the slack
     columns). b'y, each orthant entry of A'y and each PSD block's
     lambda_max of A'y are divided by the magnitude of the terms they sum
     (sum |y_i| ||A_i||_2 on a block); these ratios do not change under the
-    equilibration, so the verdict holds for the original rows.
+    equilibration, so the verdict holds for the original rows. The PSD
+    blocks are tested only on the trials that passed the tests before.
     """
+    lay = st.lay
     abs_y = np.abs(y)
-    if not float(sf.b @ y) > tol * float(np.abs(sf.b) @ abs_y):
-        return False
-    aty = sf.a_full.T @ y
-    if np.any(aty[sf.n_sv:] > tol * (abs_y @ np.abs(sf.a_full[:, sf.n_sv:]))):
-        return False
-    for grp, norms in zip(sf.groups, sf.row_norms):
-        lam_max = np.linalg.eigvalsh(grp.smat(aty))[:, -1]
-        if np.any(lam_max > tol * (norms @ abs_y)):
-            return False
-    return True
+    ray = _dot(st.b, y) > tol * _dot(np.abs(st.b), abs_y)
+    if not ray.any():
+        return ray
+    orth = aty[:, lay.n_sv:] > tol * _vm(abs_y, np.abs(st.a[:, :, lay.n_sv:]))
+    ray &= ~orth.any(axis=1)
+    for k, grp in enumerate(lay.groups):
+        rows = np.flatnonzero(ray)
+        if not rows.size:
+            break
+        try:
+            lam_max = _by_trial(np.linalg.eigvalsh, grp.smat(aty[rows]))[..., -1]
+        except _Breakdown as exc:
+            raise _Breakdown(rows[exc.rows]) from None
+        norms = np.stack([st.sfs[r].row_norms[k] for r in rows])
+        ray[rows] = ~(lam_max > tol * _mv(norms, abs_y[rows])).any(axis=1)
+    return ray
+
+
+def _original_residuals(st, x_orig, y_kept, z_orig):
+    """Per trial, normalized primal violation and dual residual against
+    original data; ``y_kept`` holds the multipliers of the kept rows."""
+    # stored rows are diag(row_scale) A_orig diag(col_scale)
+    a_x = st.a[:, :, : st.lay.n_x]
+    ax = _mv(a_x, x_orig / st.col_scale) / st.row_scale
+    viol = np.maximum(0.0, st.b_orig - ax)
+    relp = viol.max(axis=1, initial=0.0) / st.b_orig_norm
+    aty = _vm(y_kept / st.row_scale, a_x) / st.col_scale
+    r_d = st.c_orig - aty - z_orig
+    reld = np.abs(r_d).max(axis=1, initial=0.0) / st.c_orig_norm
+    return relp.tolist(), reld.tolist()
+
+
+# ---------------------------------------------------------------------------
+# the solve
 
 
 def solve(problem, opts=None):
-    """Solve a conic problem to optimality or produce an infeasibility verdict.
+    """Solve one conic problem: :func:`solve_many` on a list of one."""
+    return solve_many([problem], opts)[0]
+
+
+def solve_many(problems, opts=None):
+    """Solve conic problems to optimality or produce infeasibility verdicts.
 
     Every ``primal_infeasible`` verdict carries a Farkas ray in
     ``multipliers`` and its dual slack -A'y in ``psd_duals`` and
-    ``orthant_dual``: a dual iterate that passes ``_farkas_ray``, or the
+    ``orthant_dual``: a dual iterate that passes ``_farkas_rays``, or the
     unit multiplier of an all-zero row with a positive constant. A solve
     that stops before either test decides ends in ``max_iters`` or
     ``numerical_failure``, unless its best iterate meets the relaxed
     optimality test.
+
+    Problems are grouped by standard-form layout, and each group runs
+    through one lockstep loop; reports come back in input order, each bit
+    for bit what a solve of its problem alone returns. ``solve_time`` is
+    the problem's own presolve and report time plus its share of the wall
+    time of each lockstep iteration it took part in.
     """
-    t0 = time.perf_counter()
     opts = opts or SolverOptions()
-    sf = _StandardForm(problem)
+    reports = [None] * len(problems)
+    layouts = {}
+    for i, problem in enumerate(problems):
+        tick = time.perf_counter()
+        sf = _StandardForm(problem)
+        rep = _presolved_report(sf, opts)
+        if rep is not None:
+            reports[i] = replace(rep, solve_time=time.perf_counter() - tick)
+        else:
+            layouts.setdefault(sf.layout, []).append((i, sf, time.perf_counter() - tick))
+    for group in layouts.values():
+        index, sfs, clocks = zip(*group)
+        for i, rep in zip(index, _Lockstep(list(sfs), opts).run(list(clocks))):
+            reports[i] = rep
+    return reports
 
-    def report(status, u, y, z, res, iters, log):
-        x_orig = sf.unscale_primal(u)
-        y_orig, z_orig = sf.unscale_dual(y, z)
-        psd_vals = sf.psd_mats(x_orig)
-        psd_duals = sf.psd_mats(z_orig)
-        orth_vals = sf.orth_slice(x_orig) if sf.n_orth_vars else np.zeros(0)
-        orth_dual = sf.orth_slice(z_orig) if sf.n_orth_vars else np.zeros(0)
-        pobj = float(sf.c_orig @ x_orig)
-        dobj = _dual_objective(sf, y_orig)
-        return SolverReport(
-            status=status,
-            primal=BlockValues(psd=psd_vals, orthant=orth_vals),
-            multipliers=y_orig,
-            psd_duals=psd_duals,
-            orthant_dual=orth_dual,
-            primal_obj=pobj,
-            dual_obj=dobj,
-            residuals=res,
-            iterations=iters,
-            iter_log=tuple(log),
-            solve_time=time.perf_counter() - t0,
-        )
 
+def _presolved_report(sf, opts):
+    """The report of a program that presolve decides, else None."""
     if sf.infeasible_rows.size:
         # 0 >= b_i > 0: the unit multiplier on that row is a ray, as -A'e_i = 0
         zeros = np.zeros(sf.n_total)
         res = Residuals(primal=np.inf, dual=0.0, gap=np.inf)
-        rep = report("primal_infeasible", zeros, np.zeros(len(sf.kept)), zeros, res, 0, [])
+        rep = _report(sf, "primal_infeasible", zeros, np.zeros(len(sf.kept)), zeros, res, 0, [])
         rep.multipliers[sf.infeasible_rows[0]] = 1.0
         return rep
-
     if len(sf.kept) == 0:
         # unconstrained over the cone: optimum 0 iff the objective is in the dual cone
         u = np.full(sf.n_total, 0.0)
@@ -535,63 +688,130 @@ def solve(problem, opts=None):
             feasible_dual = False
         status = "optimal" if feasible_dual else "dual_infeasible"
         res = Residuals(primal=0.0, dual=0.0, gap=0.0)
-        return report(status, u, np.zeros(0), z, res, 0, [])
+        return _report(sf, status, u, np.zeros(0), z, res, 0, [])
+    return None
 
-    mk = len(sf.kept)
-    a = sf.a_full
-    b = sf.b
-    c = sf.c_full
 
-    # interior start: identity-like point
-    u = np.zeros(sf.n_total)
-    for grp in sf.groups:
-        u[grp.diag] = 1.0
-    u[sf.n_sv:] = 1.0
-    z = u.copy()
-    scale0 = max(1.0, float(np.abs(b).max()), float(np.abs(c).max()))
-    u *= scale0
-    z *= scale0
-    y = np.zeros(mk)
+class _Lockstep:
+    """The main loop for programs of one layout, run in lockstep.
 
-    log = []
-    status = "max_iters"
-    res = Residuals(np.inf, np.inf, np.inf)
-    stall = 0
-    best = None  # (merit, u, y, z, residuals, meets_relaxed_criteria)
-    norm_b = 1.0 + np.abs(b).max(initial=0.0)
-    norm_c = 1.0 + np.abs(c).max(initial=0.0)
+    Row r of the stacks holds the iterate of trial ``trials[r]``. A trial
+    that exits leaves the stacks with the status, iterate and iteration
+    count that a solve of it alone ends with.
+    """
 
-    it = 0
-    try:
-        for it in range(1, opts.max_iters + 1):
-            if not (np.all(np.isfinite(u)) and np.all(np.isfinite(y)) and np.all(np.isfinite(z))):
-                raise np.linalg.LinAlgError("iterate is not finite")
-            r_p = b - a @ u
-            r_d = c - a.T @ y - z
-            mu = float(u @ z) / sf.cone_degree
-            pobj_s = float(c @ u)
-            dobj_s = float(b @ y)
+    def __init__(self, sfs, opts):
+        self.sfs = sfs
+        self.opts = opts
+        self.lay = lay = sfs[0]
+        self.st = _Stack(sfs)
+        n_trials = len(sfs)
+        self.trials = list(range(n_trials))
+        self.exits = [None] * n_trials  # (status, u, y, z, residuals, iterations)
+        self.logs = [[] for _ in sfs]
+        self.best = [None] * n_trials   # (merit, u, y, z, residuals, meets_relaxed_criteria)
+        self.stall = [0] * n_trials
+        self.it = 0
 
-            # original-space residuals and objectives
-            x_orig = sf.unscale_primal(u)
-            y_orig, z_orig = sf.unscale_dual(y, z)
-            pobj = float(sf.c_orig @ x_orig)
-            dobj = _dual_objective(sf, y_orig)
-            relp_o, reld_o = _original_residuals(sf, x_orig, y_orig, z_orig)
-            relp = max(float(np.abs(r_p).max(initial=0.0)) / norm_b, relp_o)
-            reld = max(float(np.abs(r_d).max(initial=0.0)) / norm_c, reld_o)
-            gap_abs = abs(pobj - dobj)
+        # interior start: identity-like point
+        start = np.zeros(lay.n_total)
+        for grp in lay.groups:
+            start[grp.diag] = 1.0
+        start[lay.n_sv:] = 1.0
+        scale0 = np.maximum(1.0, np.maximum(np.abs(self.st.b).max(axis=1),
+                                            np.abs(self.st.c).max(axis=1)))
+        self.u = start * scale0[:, np.newaxis]
+        self.z = self.u.copy()
+        self.y = np.zeros((n_trials, len(lay.kept)))
+        self.resid = ()                 # this iteration's (r_p, r_d, mu) of each row
+
+    def run(self, clocks):
+        """Iterate until every trial exits; one report per trial. ``clocks``
+        holds the seconds already spent on each trial."""
+        while self.trials and self.it < self.opts.max_iters:
+            self.it += 1
+            tick = time.perf_counter()
+            charged = list(self.trials)
+            finite = (np.isfinite(self.u).all(axis=1) & np.isfinite(self.y).all(axis=1)
+                      & np.isfinite(self.z).all(axis=1))
+            self.leave({r: "numerical_failure" for r in np.flatnonzero(~finite)})
+            if self.trials:
+                self.test_exits()
+            if self.trials:
+                self.step()
+            share = (time.perf_counter() - tick) / len(charged)
+            for t in charged:
+                clocks[t] += share
+        self.leave({r: "max_iters" for r in range(len(self.trials))})
+
+        reports = []
+        for t, (status, u, y, z, res, iters) in enumerate(self.exits):
+            tick = time.perf_counter()
+            if status in ("max_iters", "numerical_failure") and self.best[t] is not None:
+                # fall back to the best iterate seen; accept it when it already meets
+                # the feasibility tolerances and a mildly relaxed gap
+                _, u, y, z, res, relaxed = self.best[t]
+                if relaxed:
+                    status = "optimal"
+            rep = _report(self.sfs[t], status, u, y, z, res, iters, self.logs[t])
+            reports.append(replace(rep, solve_time=clocks[t] + time.perf_counter() - tick))
+        return reports
+
+    def leave(self, ends):
+        """End the trials at the rows of ``ends`` at this iteration. Each
+        value is a status, or (status, residuals, z) for a verdict."""
+        if not ends:
+            return
+        for r, end in ends.items():
+            status, res, z = end if isinstance(end, tuple) else (end, _UNKNOWN, self.z[r].copy())
+            u, y = self.u[r].copy(), self.y[r].copy()
+            self.exits[self.trials[r]] = (status, u, y, z, res, self.it)
+        keep = [r for r in range(len(self.trials)) if r not in ends]
+        self.trials = [self.trials[r] for r in keep]
+        self.st = self.st.take(keep) if keep else None
+        self.u, self.y, self.z = self.u[keep], self.y[keep], self.z[keep]
+        self.resid = tuple(a[keep] for a in self.resid)
+
+    def test_exits(self):
+        """Residuals, best iterates and the log of this iteration; end the
+        trials that reach the optimum or carry an infeasibility ray."""
+        st, lay, opts = self.st, self.lay, self.opts
+        u, y, z = self.u, self.y, self.z
+        au = _mv(st.a, u)
+        aty = _mv(st.a_t, y)
+        r_p = st.b - au
+        r_d = st.c - aty - z
+        mu = _dot(u, z) / lay.cone_degree
+        self.resid = (r_p, r_d, mu)
+        pobj_s = _dot(st.c, u).tolist()
+        dobj_s = _dot(st.b, y).tolist()
+
+        # original-space residuals and objectives
+        x_orig = u[:, : lay.n_x] * st.col_scale * st.b_scale
+        y_kept = y * st.row_scale * st.obj_scale
+        z_orig = z[:, : lay.n_x] / st.col_scale * st.obj_scale
+        pobj = _dot(st.c_orig, x_orig).tolist()
+        dobj = _dot(st.b_orig, y_kept).tolist()
+        relp_o, reld_o = _original_residuals(st, x_orig, y_kept, z_orig)
+        relp_s = (np.abs(r_p).max(axis=1, initial=0.0) / st.norm_b).tolist()
+        reld_s = (np.abs(r_d).max(axis=1, initial=0.0) / st.norm_c).tolist()
+
+        ends, undecided = {}, []
+        for r, (t, mu_r) in enumerate(zip(self.trials, mu.tolist())):
+            relp = max(relp_s[r], relp_o[r])
+            reld = max(reld_s[r], reld_o[r])
+            gap_abs = abs(pobj[r] - dobj[r])
             # gap and complementarity are tested in scaled space, where the
             # equilibration makes optimal values O(1) and the test truly relative
-            obj_scale_s = max(abs(pobj_s), abs(dobj_s), 1e-300)
-            relgap_s = abs(pobj_s - dobj_s) / max(obj_scale_s, opts.abs_tol / opts.rel_tol)
-            mu_rel = mu / max(obj_scale_s, opts.abs_tol / opts.rel_tol)
+            obj_scale_s = max(abs(pobj_s[r]), abs(dobj_s[r]), 1e-300)
+            relgap_s = abs(pobj_s[r] - dobj_s[r]) / max(obj_scale_s, opts.abs_tol / opts.rel_tol)
+            mu_rel = mu_r / max(obj_scale_s, opts.abs_tol / opts.rel_tol)
             mu_target = opts.rel_tol * opts.mu_tol_factor
             gap_ok = relgap_s <= opts.rel_tol
             mu_ok = mu_rel <= mu_target
 
             merit = max(relp, reld, relgap_s, mu_rel * opts.rel_tol / mu_target)
-            if best is None or merit < best[0]:
+            if self.best[t] is None or merit < self.best[t][0]:
                 # the duality-gap floor is dominated by ||y||*||r_p|| rounding, a
                 # pessimistic bound on objective accuracy; a stalled iterate that
                 # is feasible and deeply complementary is still accepted
@@ -599,115 +819,93 @@ def solve(problem, opts=None):
                     relp <= opts.rel_tol and reld <= opts.rel_tol
                     and relgap_s <= 500 * opts.rel_tol and mu_rel <= 50 * mu_target
                 )
-                best = (
-                    merit, u.copy(), y.copy(), z.copy(),
-                    Residuals(primal=relp, dual=reld, gap=gap_abs / (1.0 + abs(pobj))),
-                    relaxed,
-                )
+                res = Residuals(primal=relp, dual=reld, gap=gap_abs / (1.0 + abs(pobj[r])))
+                self.best[t] = (merit, u[r].copy(), y[r].copy(), z[r].copy(), res, relaxed)
 
-            log.append({
-                "iteration": it - 1, "primal_obj": pobj, "dual_obj": dobj, "gap": gap_abs,
-                "mu": mu, "primal_res": relp, "dual_res": reld, "alpha_p": 0.0, "alpha_d": 0.0,
+            self.logs[t].append({
+                "iteration": self.it - 1, "primal_obj": pobj[r], "dual_obj": dobj[r],
+                "gap": gap_abs, "mu": mu_r, "primal_res": relp, "dual_res": reld,
+                "alpha_p": 0.0, "alpha_d": 0.0,
             })
 
             if relp <= opts.rel_tol and reld <= opts.rel_tol and gap_ok and mu_ok:
-                status = "optimal"
-                res = Residuals(primal=relp, dual=reld, gap=gap_abs / (1.0 + abs(pobj)))
-                break
+                res = Residuals(primal=relp, dual=reld, gap=gap_abs / (1.0 + abs(pobj[r])))
+                ends[r] = ("optimal", res, z[r].copy())
+            else:
+                undecided.append((r, Residuals(primal=relp, dual=reld, gap=np.inf)))
 
-            # infeasibility certificates from the diverging iterates
-            if _farkas_ray(sf, y, opts.infeasibility_threshold):
-                status = "primal_infeasible"
-                z = -a.T @ y
-                res = Residuals(primal=relp, dual=reld, gap=np.inf)
+        # infeasibility certificates from the diverging iterates
+        rows = [r for r, _ in undecided]
+        rays = []
+        while rows:
+            try:
+                sub = st.take(rows) if len(rows) < len(u) else st
+                rays = _farkas_rays(sub, y[rows], aty[rows], opts.infeasibility_threshold)
                 break
-            if pobj_s < 0.0:
-                ray_res = float(np.abs(a @ u).max()) / -pobj_s
-                if ray_res <= opts.infeasibility_threshold * max(1.0, np.abs(b).max()):
-                    status = "dual_infeasible"
-                    res = Residuals(primal=relp, dual=reld, gap=np.inf)
-                    break
+            except _Breakdown as exc:
+                ends.update((rows[k], "numerical_failure") for k in exc.rows)
+                rows = [r for r in rows if r not in ends]
+        rays = dict(zip(rows, rays))
+        for r, res in undecided:
+            sf = st.sfs[r]
+            if r in ends:
+                continue
+            if rays[r]:
+                ends[r] = ("primal_infeasible", res, -sf.a_full.T @ y[r])
+            elif pobj_s[r] < 0.0:
+                ray_res = float(np.abs(au[r]).max()) / -pobj_s[r]
+                if ray_res <= opts.infeasibility_threshold * max(1.0, np.abs(sf.b).max()):
+                    ends[r] = ("dual_infeasible", res, z[r].copy())
+        self.leave(ends)
 
-            u, y, z, alpha_x, alpha_z = _newton_step(sf, u, y, z, r_p, r_d, mu)
-            log[-1]["alpha_p"] = alpha_x
-            log[-1]["alpha_d"] = alpha_z
+    def step(self):
+        """The Newton step of every trial left; trials whose step breaks down
+        or stalls end in numerical_failure."""
+        while self.trials:
+            try:
+                step = _newton_step(self.st, self.u, self.y, self.z, *self.resid)
+                break
+            except _Breakdown as exc:
+                self.leave({r: "numerical_failure" for r in exc.rows})
+        if not self.trials:
+            return
+        self.u, self.y, self.z, alpha_x, alpha_z = step
+        ends = {}
+        for r, t in enumerate(self.trials):
+            log = self.logs[t][-1]
+            log["alpha_p"] = alpha_x[r]
+            log["alpha_d"] = alpha_z[r]
             logger.debug("iter %3d  pobj % .9e  dobj % .9e  gap %.3e  mu %.3e  step %.3f/%.3f",
-                         it, pobj, dobj, gap_abs, mu, alpha_x, alpha_z)
-            stall = stall + 1 if max(alpha_x, alpha_z) < 1e-4 else 0
-            if stall >= 4:
-                raise np.linalg.LinAlgError("step lengths stalled")
-    except np.linalg.LinAlgError:
-        status = "numerical_failure"
-
-    if status in ("max_iters", "numerical_failure") and best is not None:
-        # fall back to the best iterate seen; accept it when it already meets
-        # the feasibility tolerances and a mildly relaxed gap
-        _, u, y, z, res, relaxed = best
-        if relaxed:
-            status = "optimal"
-    return report(status, u, y, z, res, it, log)
+                         self.it, log["primal_obj"], log["dual_obj"], log["gap"], log["mu"],
+                         alpha_x[r], alpha_z[r])
+            self.stall[t] = self.stall[t] + 1 if max(alpha_x[r], alpha_z[r]) < 1e-4 else 0
+            if self.stall[t] >= 4:
+                ends[r] = "numerical_failure"  # step lengths stalled
+        self.leave(ends)
 
 
-def _orig_b(sf):
-    # constants of the kept rows in original (unscaled) units, >= orientation
-    return sf.b * sf.b_scale / sf.row_scale
+def _report(sf, status, u, y, z, res, iters, log):
+    """The report of one trial's exit iterate, in the original data's units."""
+    x_orig = sf.unscale_primal(u)
+    y_orig, z_orig = sf.unscale_dual(y, z)
+    psd_vals = sf.psd_mats(x_orig)
+    psd_duals = sf.psd_mats(z_orig)
+    orth_vals = sf.orth_slice(x_orig) if sf.n_orth_vars else np.zeros(0)
+    orth_dual = sf.orth_slice(z_orig) if sf.n_orth_vars else np.zeros(0)
+    return SolverReport(
+        status=status,
+        primal=BlockValues(psd=psd_vals, orthant=orth_vals),
+        multipliers=y_orig,
+        psd_duals=psd_duals,
+        orthant_dual=orth_dual,
+        primal_obj=float(sf.c_orig @ x_orig),
+        dual_obj=_dual_objective(sf, y_orig),
+        residuals=res,
+        iterations=iters,
+        iter_log=tuple(log),
+    )
 
 
 def _dual_objective(sf, y_orig):
     """b'y of the original problem in its all->= orientation."""
-    return float(_orig_b(sf) @ y_orig[sf.kept])
-
-
-def _original_residuals(sf, x_orig, y_orig, z_orig):
-    """Normalized primal violation and dual residual against original data."""
-    # stored rows are diag(row_scale) A_orig diag(col_scale)
-    ax = (sf.a_full[:, : sf.n_x] @ (x_orig / sf.col_scale)) / sf.row_scale
-    b_orig = _orig_b(sf)
-    viol = np.maximum(0.0, b_orig - ax)
-    relp = float(viol.max(initial=0.0)) / (1.0 + float(np.abs(b_orig).max(initial=0.0)))
-    aty = ((y_orig[sf.kept] / sf.row_scale) @ sf.a_full[:, : sf.n_x]) / sf.col_scale
-    r_d = sf.c_orig - aty - z_orig
-    reld = float(np.abs(r_d).max(initial=0.0)) / (1.0 + float(np.abs(sf.c_orig).max(initial=0.0)))
-    return relp, reld
-
-
-def kkt_residuals(problem, report):
-    """(stationarity, primal feasibility, dual feasibility, complementarity) norms."""
-    problem.validate()
-    mult = report.multipliers
-    signs = np.array([1.0 if con.sense == ">=" else -1.0 for con in problem.constraints])
-
-    # stationarity: C - sum_i sign_i mult_i A_i = Z on every block
-    stat = 0.0
-    for blk, cmat in enumerate(problem.objective_psd):
-        acc = cmat.copy()
-        for i, con in enumerate(problem.constraints):
-            coeff = con.psd_coeffs.get(blk)
-            if coeff is not None:
-                acc = acc - signs[i] * mult[i] * coeff
-        stat = max(stat, float(np.abs(acc - report.psd_duals[blk]).max()))
-    if problem.orthant_dim:
-        acc = problem.objective_orthant.copy()
-        for i, con in enumerate(problem.constraints):
-            acc = acc - signs[i] * mult[i] * con.orthant_coeffs
-        stat = max(stat, float(np.abs(acc - report.orthant_dual).max()))
-
-    slacks = problem.slacks(report.primal)
-    pfeas = float(np.maximum(0.0, -slacks).max(initial=0.0))
-    for mat in report.primal.psd:
-        pfeas = max(pfeas, max(0.0, -float(np.linalg.eigvalsh(mat)[0])))
-    if problem.orthant_dim:
-        pfeas = max(pfeas, max(0.0, -float(report.primal.orthant.min(initial=0.0))))
-
-    dfeas = float(np.maximum(0.0, -mult).max(initial=0.0))
-    for mat in report.psd_duals:
-        dfeas = max(dfeas, max(0.0, -float(np.linalg.eigvalsh(mat)[0])))
-    if problem.orthant_dim:
-        dfeas = max(dfeas, max(0.0, -float(report.orthant_dual.min(initial=0.0))))
-
-    comp = float(np.abs(slacks * mult).sum())
-    for mat, dual in zip(report.primal.psd, report.psd_duals):
-        comp += abs(float(np.sum(mat * dual)))
-    if problem.orthant_dim:
-        comp += abs(float(report.primal.orthant @ report.orthant_dual))
-    return stat, pfeas, dfeas, comp
+    return float((sf.b * sf.b_scale / sf.row_scale) @ y_orig[sf.kept])

@@ -1,10 +1,10 @@
-"""Shared independent oracles used by the solver and acceptance tests."""
+"""Shared independent oracles used by the solver, problem and acceptance tests."""
 
 import itertools
 
 import numpy as np
 
-from fdsec.problem import ConicProblem, LinearConstraint
+from fdsec.problem import BlockValues, ConicProblem, LinearConstraint, _embed_real
 
 
 def lp_problem(c, rows, senses, consts, labels=None):
@@ -92,3 +92,99 @@ def random_diagonal_instance(rng, n_psd=2, n_orth=2, m=4, dims=None):
                         objective_psd=tuple(obj_psd), objective_orthant=c[off:],
                         constraints=tuple(cons))
     return prob, (c, rows, senses, consts)
+
+
+# ---------------------------------------------------------------------------
+# evaluation of a conic problem at a point, and its KKT residuals
+
+
+def constraint_value(problem, con, values):
+    acc = float(con.orthant_coeffs @ values.orthant) if problem.orthant_dim else 0.0
+    for b, c in con.psd_coeffs.items():
+        acc += float(np.sum(c * values.psd[b]))
+    return acc
+
+
+def slacks(problem, values):
+    """Signed slack per constraint (nonnegative means satisfied)."""
+    out = np.empty(len(problem.constraints))
+    for i, con in enumerate(problem.constraints):
+        v = constraint_value(problem, con, values)
+        out[i] = v - con.constant if con.sense == ">=" else con.constant - v
+    return out
+
+
+def objective_value(problem, values):
+    acc = float(problem.objective_orthant @ values.orthant) if problem.orthant_dim else 0.0
+    for b, c in enumerate(problem.objective_psd):
+        acc += float(np.sum(c * values.psd[b]))
+    return acc
+
+
+def labels(problem):
+    return [con.label for con in problem.constraints]
+
+
+def rows(vmap, prefix):
+    """(label, row) pairs for one constraint family, in built order."""
+    return [(lab, i) for lab, i in vmap.row_index.items() if lab.startswith(prefix)]
+
+
+def allocation_to_blocks(alloc, vmap):
+    """Embed an allocation into the block layout of the built problem."""
+    psd = [None] * (vmap.k_users + (1 if vmap.v_block is not None else 0))
+    for k, b in enumerate(vmap.w_blocks):
+        psd[b] = _embed_real(alloc.W[k])
+    orth = np.zeros(vmap.j_users + (1 if vmap.v_orthant_index is not None else 0))
+    orth[: vmap.j_users] = alloc.P
+    if vmap.v_block is not None:
+        psd[vmap.v_block] = _embed_real(alloc.V)
+    elif vmap.v_orthant_index is not None:
+        d = vmap.v_direction
+        scale = float(np.trace(alloc.V).real)
+        if scale > 0 and np.abs(alloc.V - scale * d).max() > 1e-8 * max(1.0, np.abs(alloc.V).max()):
+            raise ValueError("allocation AN covariance is not on the baseline direction")
+        orth[vmap.v_orthant_index] = scale
+    return BlockValues(psd=tuple(psd), orthant=orth)
+
+
+def kkt_residuals(problem, report):
+    """(stationarity, primal feasibility, dual feasibility, complementarity) norms."""
+    problem.validate()
+    mult = report.multipliers
+    signs = np.array([1.0 if con.sense == ">=" else -1.0 for con in problem.constraints])
+
+    # stationarity: C - sum_i sign_i mult_i A_i = Z on every block
+    stat = 0.0
+    for blk, cmat in enumerate(problem.objective_psd):
+        acc = cmat.copy()
+        for i, con in enumerate(problem.constraints):
+            coeff = con.psd_coeffs.get(blk)
+            if coeff is not None:
+                acc = acc - signs[i] * mult[i] * coeff
+        stat = max(stat, float(np.abs(acc - report.psd_duals[blk]).max()))
+    if problem.orthant_dim:
+        acc = problem.objective_orthant.copy()
+        for i, con in enumerate(problem.constraints):
+            acc = acc - signs[i] * mult[i] * con.orthant_coeffs
+        stat = max(stat, float(np.abs(acc - report.orthant_dual).max()))
+
+    slack = slacks(problem, report.primal)
+    pfeas = float(np.maximum(0.0, -slack).max(initial=0.0))
+    for mat in report.primal.psd:
+        pfeas = max(pfeas, max(0.0, -float(np.linalg.eigvalsh(mat)[0])))
+    if problem.orthant_dim:
+        pfeas = max(pfeas, max(0.0, -float(report.primal.orthant.min(initial=0.0))))
+
+    dfeas = float(np.maximum(0.0, -mult).max(initial=0.0))
+    for mat in report.psd_duals:
+        dfeas = max(dfeas, max(0.0, -float(np.linalg.eigvalsh(mat)[0])))
+    if problem.orthant_dim:
+        dfeas = max(dfeas, max(0.0, -float(report.orthant_dual.min(initial=0.0))))
+
+    comp = float(np.abs(slack * mult).sum())
+    for mat, dual in zip(report.primal.psd, report.psd_duals):
+        comp += abs(float(np.sum(mat * dual)))
+    if problem.orthant_dim:
+        comp += abs(float(report.primal.orthant @ report.orthant_dual))
+    return stat, pfeas, dfeas, comp

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import allocation_to_blocks, constraint_value, rows
 
 from fdsec.certificates import (
     CertificateUnavailableError,
@@ -13,7 +14,6 @@ from fdsec.certificates import (
 from fdsec.channel import SystemConfig, realize
 from fdsec.metrics import Allocation, evaluate_qos
 from fdsec.problem import (
-    allocation_to_blocks,
     build_baseline_problem,
     build_optimal_problem,
     recover_allocation,
@@ -192,9 +192,9 @@ def assert_pinned_and_capped(prob, vmap, chan, cfg, polished):
     values = allocation_to_blocks(polished, vmap)
     margins = evaluate_qos(polished, chan, cfg).margins
     activity = np.concatenate(margins.activity[:2])
-    for (label, row), scale in zip(vmap.rows("C1") + vmap.rows("C2"), activity):
+    for (label, row), scale in zip(rows(vmap, "C1") + rows(vmap, "C2"), activity):
         con = prob.constraints[row]
-        slack = prob.constraint_value(con, values) - con.constant
+        slack = constraint_value(prob, con, values) - con.constant
         assert abs(slack) <= 1e-12 * scale, label
     caps = np.array([chan.sigma2_eve[m] + np.real(l_vec.conj() @ polished.V @ l_vec)
                      for m, l_vec in enumerate(chan.l)])

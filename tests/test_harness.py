@@ -13,11 +13,15 @@ from hypothesis import strategies as st
 
 from fdsec.certificates import rebalance_powers
 from fdsec.channel import SystemConfig, realize
+from fdsec.cli import build_parser
 from fdsec.harness import (
+    BATCH_TRIALS,
     SCHEMES,
     SweepSpec,
     TrialResult,
     _aggregate_point,
+    _batches,
+    _tasks,
     evaluate_instance,
     hd_precheck_fires,
     load_config,
@@ -223,6 +227,48 @@ class TestParallelism:
             for f in fields(a):
                 if f.name != "mean_solve_time":
                     assert same_value(getattr(a, f.name), getattr(b, f.name)), f.name
+
+        # an antenna sweep mixes problem layouts in one call; every trial of
+        # it equals the trial run alone
+        spec = SweepSpec(parameter="n_antennas", values=(6, 5), trials=2,
+                         schemes=("optimal", "baseline2"), base_config=SMALL, base_seed=7)
+        _, serial = sweep(spec)
+        _, pooled = sweep(replace(spec, jobs=2))
+        assert multiprocessing.active_children() == []
+        assert all(same_trial(a, b) for a, b in zip(serial, pooled, strict=True))
+        for r in pooled:
+            alone = run_trial(spec.config_for(r.sweep_value), r.seed, r.scheme, r.trial_id)
+            assert same_trial(replace(alone, sweep_value=r.sweep_value), r)
+
+    @pytest.mark.parametrize("jobs", [1, 2, 3])
+    def test_batch_partition(self, jobs):
+        seeds = range(11)
+        tasks = [t for n in (5, 6)
+                 for t in _tasks(SMALL.with_updates(n_antennas=n), seeds, SCHEMES)]
+        batches = _batches(tasks, jobs)
+        assert sorted(i for b in batches for i in b) == list(range(len(tasks)))
+        assert max(len(b) for b in batches) <= BATCH_TRIALS
+        groups = {}
+        for b in batches:
+            keys = {(tasks[i][2], tasks[i][0].n_antennas) for i in b}
+            assert len(keys) == 1  # one scheme and one system size per batch
+            groups.setdefault(keys.pop(), []).append(len(b))
+        assert len(groups) == 2 * len(SCHEMES)
+        for sizes in groups.values():
+            assert sum(sizes) == len(seeds) and len(sizes) >= jobs
+            assert max(sizes) - min(sizes) <= 1
+
+    def test_jobs_must_be_positive(self, capsys):
+        for jobs in (0, -1):
+            with pytest.raises(ValueError):
+                SweepSpec(parameter="n_antennas", values=(6,), jobs=jobs)
+            with pytest.raises(ValueError):
+                run_trials(SMALL, [0], ("optimal",), jobs=jobs)
+            for command in (["trial"], ["sweep", "--sweep", "gamma_dl", "--values", "6"]):
+                with pytest.raises(SystemExit):
+                    build_parser().parse_args(command + ["--jobs", str(jobs)])
+                assert "--jobs" in capsys.readouterr().err
+        assert multiprocessing.active_children() == []
 
 
 class TestSweep:

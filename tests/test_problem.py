@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+import oracles
+from oracles import allocation_to_blocks
 
 from fdsec.channel import SystemConfig, realize
 from fdsec.linalg import eigvals_herm
@@ -13,7 +15,6 @@ from fdsec.problem import (
     BlockValues,
     _embed_real,
     _unembed_hermitian,
-    allocation_to_blocks,
     an_direction,
     build_baseline_problem,
     build_hd_problem,
@@ -70,7 +71,7 @@ class TestCounting:
         assert all(d == 16 for d in prob.psd_dims)
         # 6 + 3 + 30 + 15 + 3
         assert len(prob.constraints) == 57
-        labels = prob.labels()
+        labels = oracles.labels(prob)
         assert sum(1 for s in labels if s.startswith("C3[")) == 30
         assert sum(1 for s in labels if s.startswith("C4[")) == 15
 
@@ -101,7 +102,7 @@ class TestFunctionalEquality:
         prob, vmap = build_optimal_problem(chan, cfg, rec)
         alloc = random_rank_one_alloc(rng, cfg, rec)
         values = allocation_to_blocks(alloc, vmap)
-        slacks = prob.slacks(values)
+        slacks = oracles.slacks(prob, values)
         margins = evaluate_qos(alloc, chan, cfg).margins
         analytic = np.concatenate(
             [margins.c1, margins.c2, margins.c3.ravel(), margins.c4.ravel(), margins.c5]
@@ -142,7 +143,7 @@ class TestFunctionalEquality:
                                  (margins.c1, margins.c2, margins.c3, margins.c4, margins.c5)])
         activity = np.concatenate([np.ravel(a) for a in margins.activity])
         reference = embedded_activity(prob, values)
-        assert np.all(np.abs(slacks - prob.slacks(values)) <= 1e-12 * reference)
+        assert np.all(np.abs(slacks - oracles.slacks(prob, values)) <= 1e-12 * reference)
         assert np.all(np.abs(activity - reference) <= 1e-12 * reference)
 
     def test_objective_matches_metrics(self):
@@ -152,7 +153,8 @@ class TestFunctionalEquality:
         prob, vmap = build_optimal_problem(chan, cfg, rec)
         alloc = random_rank_one_alloc(rng, cfg, rec)
         values = allocation_to_blocks(alloc, vmap)
-        assert prob.objective_value(values) == pytest.approx(objective(alloc, cfg), rel=1e-9)
+        assert oracles.objective_value(prob, values) == pytest.approx(objective(alloc, cfg),
+                                                                      rel=1e-9)
 
 
 class TestBaselines:
@@ -191,8 +193,8 @@ class TestBaselines:
         p_v = 2.5e-4
         alloc = random_rank_one_alloc(rng, cfg, rec)
         alloc = Allocation(W=alloc.W, V=p_v * direction, P=alloc.P, receivers=rec)
-        slacks_opt = opt_prob.slacks(allocation_to_blocks(alloc, opt_map))
-        slacks_base = base_prob.slacks(allocation_to_blocks(alloc, base_map))
+        slacks_opt = oracles.slacks(opt_prob, allocation_to_blocks(alloc, opt_map))
+        slacks_base = oracles.slacks(base_prob, allocation_to_blocks(alloc, base_map))
         scale = np.abs(slacks_opt) + 1e-300
         assert np.max(np.abs(slacks_opt - slacks_base) / np.maximum(scale, 1e-18)) <= 1e-9
 

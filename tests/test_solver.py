@@ -2,18 +2,21 @@ import logging
 
 import numpy as np
 import pytest
-from oracles import enumerate_lp_optimum, lp_problem, random_diagonal_instance
+import oracles
+from oracles import enumerate_lp_optimum, kkt_residuals, lp_problem, random_diagonal_instance
 
 from fdsec.channel import SystemConfig, realize
+from fdsec.harness import SCHEMES, TRIAL_SOLVER_OPTIONS
 from fdsec.problem import (
     BlockValues,
     ConicProblem,
     LinearConstraint,
     build_baseline_problem,
     build_hd_problem,
+    build_optimal_problem,
 )
 from fdsec.receivers import zf_receivers
-from fdsec.solver import Residuals, SolverOptions, SolverReport, kkt_residuals, solve
+from fdsec.solver import Residuals, SolverOptions, SolverReport, solve, solve_many
 
 
 class TestTrivialPrograms:
@@ -115,8 +118,9 @@ class TestDiagonalOracle:
             assert rep.status == "optimal"
             assert [x.shape for x in rep.primal.psd] == [(4, 4), (2, 2), (4, 4)]
             assert rep.primal_obj == pytest.approx(oracle, rel=1e-7, abs=1e-9)
-            assert prob.objective_value(rep.primal) == pytest.approx(oracle, rel=1e-7, abs=1e-9)
-            assert prob.slacks(rep.primal).min() >= -1e-7
+            assert oracles.objective_value(prob, rep.primal) == pytest.approx(oracle, rel=1e-7,
+                                                                              abs=1e-9)
+            assert oracles.slacks(prob, rep.primal).min() >= -1e-7
             solved += 1
         assert solved >= 6
 
@@ -186,7 +190,7 @@ class TestSolverProperties:
         rep = solve(prob)
         assert rep.status == "optimal"
         assert np.all(rep.multipliers >= -1e-9)
-        slacks = prob.slacks(rep.primal)
+        slacks = oracles.slacks(prob, rep.primal)
         scale = 1.0 + abs(rep.primal_obj)
         assert float(np.abs(slacks * rep.multipliers).sum()) <= 1e-5 * scale
         for dual in rep.psd_duals:
@@ -239,6 +243,77 @@ class TestInfeasibilityRay:
         coeffs = np.array([con.orthant_coeffs for con in prob.constraints])
         assert np.all(sy @ coeffs <= 1e-9 * (np.abs(y) @ np.abs(coeffs)))
         assert sy @ np.array([con.constant for con in prob.constraints]) > 0.0
+
+
+def scheme_problem(cfg, seed, scheme):
+    _, chan = realize(cfg, seed)
+    rec = zf_receivers(chan.g)
+    if scheme == "optimal":
+        return build_optimal_problem(chan, cfg, rec)[0]
+    if scheme == "hd":
+        return build_hd_problem(chan, cfg, rec)[0]
+    return build_baseline_problem(chan, cfg, rec, scheme)[0]
+
+
+def same_bits(a, b):
+    """Equal bit for bit: arrays, floats, and the containers that hold them."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return (np.shape(a) == np.shape(b) and np.asarray(a).dtype == np.asarray(b).dtype
+                and np.asarray(a).tobytes() == np.asarray(b).tobytes())
+    if isinstance(a, (tuple, list)):
+        return len(a) == len(b) and all(same_bits(p, q) for p, q in zip(a, b))
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same_bits(a[k], b[k]) for k in a)
+    if isinstance(a, (float, np.floating)):
+        return float(a).hex() == float(b).hex()
+    if hasattr(a, "__dataclass_fields__"):
+        return all(same_bits(getattr(a, f), getattr(b, f)) for f in a.__dataclass_fields__)
+    return a == b
+
+
+class TestSolveMany:
+    SWEEP = SystemConfig(n_antennas=6, n_dl=2, n_ul=2, n_idle=1)
+
+    def sweep_at(self, gamma_db):
+        return self.SWEEP.with_updates(gamma_dl_req_db=(), gamma_dl_req_default_db=gamma_db)
+
+    def test_mixed_list_matches_solo_bit_for_bit(self):
+        ray = (SystemConfig(), 52, "hd")                   # paper-hd
+        failure = (self.sweep_at(24.0), 10, "baseline2")   # the gamma-sweep probe
+        best_iterate = [(self.sweep_at(6.0), 0, "optimal"), (self.sweep_at(24.0), 1, "baseline1")]
+        cases = [(self.sweep_at(g), seed, s) for g, seed in ((6.0, 0), (24.0, 1)) for s in SCHEMES]
+        cases += [ray, failure]
+        # edge configurations J=0, M=0, K=1 (hd ends numerical_failure), N=J+1
+        for dims in [(4, 2, 0, 2), (4, 2, 2, 0), (4, 1, 1, 1), (3, 2, 2, 1)]:
+            cfg = SystemConfig(**dict(zip(("n_antennas", "n_dl", "n_ul", "n_idle"), dims)))
+            cases += [(cfg, 0, s) for s in SCHEMES]
+        problems = [scheme_problem(*case) for case in cases]
+        solo = [solve(p, TRIAL_SOLVER_OPTIONS) for p in problems]
+        many = solve_many(problems, TRIAL_SOLVER_OPTIONS)
+
+        by_case = dict(zip(cases, solo))
+        assert by_case[ray].status == "primal_infeasible"
+        assert by_case[failure].status == "numerical_failure"
+        for case in best_iterate:   # accepted from an earlier iterate than the last
+            rep = by_case[case]
+            assert rep.status == "optimal" and rep.primal_obj != rep.iter_log[-1]["primal_obj"]
+        assert len({r.iterations for r in solo}) > 10   # trials leave the loop at many steps
+        for case, a, b in zip(cases, solo, many, strict=True):
+            for name in SolverReport.__dataclass_fields__:
+                if name != "solve_time":
+                    assert same_bits(getattr(a, name), getattr(b, name)), (case[1:], name)
+
+    def test_reports_in_input_order(self):
+        problems = [lp_problem([1.0], [[1.0]], [">="], [2.0]),
+                    scheme_problem(self.sweep_at(6.0), 2, "optimal"),
+                    lp_problem([1.0], [[0.0]], [">="], [2.0]),
+                    lp_problem([3.0], [[1.0]], [">="], [1.0])]
+        reports = solve_many(problems)
+        assert [r.status for r in reports] == ["optimal", "optimal", "primal_infeasible", "optimal"]
+        assert reports[0].primal_obj == pytest.approx(2.0, rel=1e-7)
+        assert reports[3].primal_obj == pytest.approx(3.0, rel=1e-7)
+        assert all(r.solve_time > 0.0 for r in reports)
+        assert solve_many([]) == []
 
 
 class TestKktResiduals:
