@@ -40,6 +40,10 @@ logger = logging.getLogger(__name__)
 
 _FTB = 0.99          # fraction-to-boundary step factor
 _MAX_HALVINGS = 12   # step fallback on factorization failure
+# the stop rule asks mu <= rel_tol * _MU_FACTOR, relative to the objective:
+# deep enough for the dual certificate's null-eigenvalue and complementarity tests
+_MU_FACTOR = 1e-3
+_RAY_TOL = 1e-8      # relative cone violation a Farkas or dual ray may keep
 
 
 @dataclass(frozen=True)
@@ -47,14 +51,10 @@ class SolverOptions:
     abs_tol: float = 1e-8
     rel_tol: float = 1e-7
     max_iters: int = 200
-    infeasibility_threshold: float = 1e-8
-    mu_tol_factor: float = 1.0     # extra tightening of final complementarity
 
     def __post_init__(self):
-        if min(self.abs_tol, self.rel_tol, self.infeasibility_threshold) <= 0:
+        if min(self.abs_tol, self.rel_tol) <= 0:
             raise ValueError("tolerances must be positive")
-        if self.mu_tol_factor <= 0:
-            raise ValueError("mu_tol_factor must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
 
@@ -412,7 +412,9 @@ class _Scaling:
         x_orth = u[:, lay.n_sv:]
         z_orth = z[:, lay.n_sv:]
         _break_where((x_orth <= 0.0).any(axis=1) | (z_orth <= 0.0).any(axis=1))
-        self.w_orth = np.sqrt(x_orth / z_orth)
+        with np.errstate(over="ignore"):
+            self.w_orth = np.sqrt(x_orth / z_orth)
+        _break_where(~np.isfinite(self.w_orth).all(axis=1))  # x / z overflows
         self.lam_orth = np.sqrt(x_orth * z_orth)
 
 
@@ -578,7 +580,7 @@ def _newton_step(st, u, y, z, r_p, r_d, mu):
             _project_structured(lay, z_new), alpha[:, 0].tolist(), alpha[:, 1].tolist())
 
 
-def _farkas_rays(st, y, aty, tol):
+def _farkas_rays(st, y, aty):
     """Per trial, whether multipliers y prove the scaled rows A u = b, u in K
     infeasible; ``aty`` holds A'y.
 
@@ -591,10 +593,10 @@ def _farkas_rays(st, y, aty, tol):
     """
     lay = st.lay
     abs_y = np.abs(y)
-    ray = _dot(st.b, y) > tol * _dot(np.abs(st.b), abs_y)
+    ray = _dot(st.b, y) > _RAY_TOL * _dot(np.abs(st.b), abs_y)
     if not ray.any():
         return ray
-    orth = aty[:, lay.n_sv:] > tol * _vm(abs_y, np.abs(st.a[:, :, lay.n_sv:]))
+    orth = aty[:, lay.n_sv:] > _RAY_TOL * _vm(abs_y, np.abs(st.a[:, :, lay.n_sv:]))
     ray &= ~orth.any(axis=1)
     for k, grp in enumerate(lay.groups):
         rows = np.flatnonzero(ray)
@@ -605,7 +607,7 @@ def _farkas_rays(st, y, aty, tol):
         except _Breakdown as exc:
             raise _Breakdown(rows[exc.rows]) from None
         norms = np.stack([st.sfs[r].row_norms[k] for r in rows])
-        ray[rows] = ~(lam_max > tol * _mv(norms, abs_y[rows])).any(axis=1)
+        ray[rows] = ~(lam_max > _RAY_TOL * _mv(norms, abs_y[rows])).any(axis=1)
     return ray
 
 
@@ -806,7 +808,7 @@ class _Lockstep:
             obj_scale_s = max(abs(pobj_s[r]), abs(dobj_s[r]), 1e-300)
             relgap_s = abs(pobj_s[r] - dobj_s[r]) / max(obj_scale_s, opts.abs_tol / opts.rel_tol)
             mu_rel = mu_r / max(obj_scale_s, opts.abs_tol / opts.rel_tol)
-            mu_target = opts.rel_tol * opts.mu_tol_factor
+            mu_target = opts.rel_tol * _MU_FACTOR
             gap_ok = relgap_s <= opts.rel_tol
             mu_ok = mu_rel <= mu_target
 
@@ -840,7 +842,7 @@ class _Lockstep:
         while rows:
             try:
                 sub = st.take(rows) if len(rows) < len(u) else st
-                rays = _farkas_rays(sub, y[rows], aty[rows], opts.infeasibility_threshold)
+                rays = _farkas_rays(sub, y[rows], aty[rows])
                 break
             except _Breakdown as exc:
                 ends.update((rows[k], "numerical_failure") for k in exc.rows)
@@ -854,7 +856,7 @@ class _Lockstep:
                 ends[r] = ("primal_infeasible", res, -sf.a_full.T @ y[r])
             elif pobj_s[r] < 0.0:
                 ray_res = float(np.abs(au[r]).max()) / -pobj_s[r]
-                if ray_res <= opts.infeasibility_threshold * max(1.0, np.abs(sf.b).max()):
+                if ray_res <= _RAY_TOL * max(1.0, np.abs(sf.b).max()):
                     ends[r] = ("dual_infeasible", res, z[r].copy())
         self.leave(ends)
 

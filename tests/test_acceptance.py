@@ -16,7 +16,6 @@ from oracles import enumerate_lp_optimum, random_diagonal_instance
 from fdsec.certificates import dual_certificate
 from fdsec.channel import SystemConfig, realize
 from fdsec.harness import (
-    TRIAL_SOLVER_OPTIONS,
     SweepSpec,
     evaluate_instance,
     hd_precheck_fires,
@@ -105,7 +104,7 @@ class TestCriterion1ClosedForm:
             _, chan = realize(cfg, seed)
             receivers = zf_receivers(chan.g)
             problem, vmap = build_optimal_problem(chan, cfg, receivers)
-            report = solve(problem, TRIAL_SOLVER_OPTIONS)
+            report = solve(problem)
             solve_time = time.perf_counter() - t0
             assert solve_time < 1.0, f"closed-form instance took {solve_time:.2f} s"
             assert report.status == "optimal"

@@ -211,7 +211,7 @@ class TestRebalancePowers:
         (SystemConfig(n_antennas=8, n_dl=5, n_ul=2, n_idle=4), 5008),
     ], ids=["full-4006", "n8k5j2m4-5008"])
     def test_joint_patch_pins_targets_and_holds_caps(self, cfg, seed):
-        chan, rec, prob, vmap, rep = solved_instance(cfg, seed, SolverOptions(mu_tol_factor=1e-3))
+        chan, rec, prob, vmap, rep = solved_instance(cfg, seed)
         assert rep.status == "optimal"
         polished = rebalance_powers(recover_allocation(rep.primal, vmap, rec), chan, cfg, "optimal")
         assert polished is not None
@@ -224,7 +224,7 @@ class TestRebalancePowers:
         _, chan = realize(cfg, 10)
         rec = zf_receivers(chan.g)
         prob, vmap = build_baseline_problem(chan, cfg, rec, "baseline1")
-        rep = solve(prob, SolverOptions(mu_tol_factor=1e-3))
+        rep = solve(prob)
         assert rep.status == "optimal"
         raw = recover_allocation(rep.primal, vmap, rec)
         polished = rebalance_powers(raw, chan, cfg, "baseline1")

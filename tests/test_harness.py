@@ -38,6 +38,7 @@ from fdsec.harness import (
 )
 from fdsec.problem import recover_allocation
 from fdsec.receivers import zf_receivers
+from fdsec.solver import solve
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 sys.path.insert(0, BENCH)
@@ -95,6 +96,13 @@ class TestRunTrial:
             opt, b1, b2 = (r.objective_w for r in rows)
             assert b1 == pytest.approx(b2, rel=1e-12)
             assert opt == pytest.approx(b1, rel=1e-7)
+
+    def test_trial_is_the_default_solve(self):
+        inst = evaluate_instance(SystemConfig(), 0, "optimal")
+        rep = solve(inst.problem)
+        assert (inst.report.status, inst.report.iterations) == (rep.status, rep.iterations)
+        assert float(inst.report.primal_obj).hex() == float(rep.primal_obj).hex()
+        assert float(inst.report.dual_obj).hex() == float(rep.dual_obj).hex()
 
     def test_unknown_scheme(self):
         with pytest.raises(ValueError):

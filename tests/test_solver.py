@@ -1,4 +1,5 @@
 import logging
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import oracles
 from oracles import enumerate_lp_optimum, kkt_residuals, lp_problem, random_diagonal_instance
 
 from fdsec.channel import SystemConfig, realize
-from fdsec.harness import SCHEMES, TRIAL_SOLVER_OPTIONS
+from fdsec.harness import SCHEMES
 from fdsec.problem import (
     BlockValues,
     ConicProblem,
@@ -224,7 +225,7 @@ class TestInfeasibilityRay:
             prob, _ = build_hd_problem(chan, cfg, zf_receivers(chan.g))
         else:
             prob, _ = build_baseline_problem(chan, cfg, zf_receivers(chan.g), scheme)
-        rep = solve(prob, SolverOptions(mu_tol_factor=1e-3))
+        rep = solve(prob)
         assert rep.status == "primal_infeasible"
         y = rep.multipliers
         assert y.shape == (len(prob.constraints),) and np.all(y >= 0.0)
@@ -288,8 +289,8 @@ class TestSolveMany:
             cfg = SystemConfig(**dict(zip(("n_antennas", "n_dl", "n_ul", "n_idle"), dims)))
             cases += [(cfg, 0, s) for s in SCHEMES]
         problems = [scheme_problem(*case) for case in cases]
-        solo = [solve(p, TRIAL_SOLVER_OPTIONS) for p in problems]
-        many = solve_many(problems, TRIAL_SOLVER_OPTIONS)
+        solo = [solve(p) for p in problems]
+        many = solve_many(problems)
 
         by_case = dict(zip(cases, solo))
         assert by_case[ray].status == "primal_infeasible"
@@ -314,6 +315,15 @@ class TestSolveMany:
         assert reports[3].primal_obj == pytest.approx(3.0, rel=1e-7)
         assert all(r.solve_time > 0.0 for r in reports)
         assert solve_many([]) == []
+
+    def test_overflowing_orthant_scaling_breaks_down_without_warnings(self):
+        # hd on the sweep scenario at 24 dB, seed 0: x / z of the orthant
+        # scaling overflows, and the trial ends in a breakdown, not a warning
+        prob = scheme_problem(self.sweep_at(24.0), 0, "hd")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = solve(prob)
+        assert rep.status == "numerical_failure"
 
 
 class TestKktResiduals:

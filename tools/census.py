@@ -15,14 +15,24 @@ fails). ``paper-optimal`` and ``paper-hd`` run one
 makes; a tree without that function runs them one by one.
 
 ``--tree DIR`` takes the program and the checks from another checkout.
-``--diff OLD NEW`` runs the census in both trees, one after the other,
-prints every trial whose line differs and exits with status 1 if any does.
+``--diff OLD NEW`` runs the census in both trees at once (one process
+each; ``OPENBLAS_NUM_THREADS=1`` keeps them off each other's cores) and
+prints every trial whose line differs. It then reports, per workload, what
+decides the benchmark's ``correct`` flag in NEW's ``bench/``: the pool
+trials (the strata seeds, and for a window workload the ``window`` seeds
+from each) whose checks go from "ok" to failing, the probes that do so,
+and the ``checks.check_seed_sweep`` breaks on each sweep pool seed's
+passing trials, as ``bench/run.py`` records them. It exits with status 2
+when a pool trial regresses or a pool seed gains a break, else 1 when a
+line differs, else 0.
 """
 
 import argparse
 import os
 import subprocess
 import sys
+import tempfile
+from contextlib import ExitStack
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 WORKLOADS = ("paper-optimal", "paper-hd", "gamma-sweep")
@@ -64,18 +74,90 @@ def line(name, inst, failed):
     return "\t".join(str(v) for v in values)
 
 
-def run_tree(tree, seeds, names):
-    """Census lines of another tree, from a fresh interpreter."""
-    cmd = [sys.executable, os.path.abspath(__file__), "--tree", tree,
-           "--seeds", str(seeds), *[arg for n in names for arg in ("--workload", n)]]
-    out = subprocess.run(cmd, capture_output=True, text=True, check=True)
-    return out.stdout.splitlines()[1:]
+def run_trees(trees, seeds, names):
+    """Census lines of each tree, keyed by trial, each tree in a fresh
+    interpreter and all at once."""
+    with ExitStack() as files:
+        runs = []
+        for tree in trees:
+            cmd = [sys.executable, os.path.abspath(__file__), "--tree", tree,
+                   "--seeds", str(seeds), *[arg for n in names for arg in ("--workload", n)]]
+            out = files.enter_context(tempfile.TemporaryFile("w+"))
+            runs.append((subprocess.Popen(cmd, stdout=out, text=True), out))
+        for proc, _ in runs:
+            proc.wait()
+        lines = []
+        for proc, out in runs:
+            if proc.returncode:
+                raise subprocess.CalledProcessError(proc.returncode, proc.args)
+            out.seek(0)
+            lines.append({tuple(ln.split("\t")[:4]): ln for ln in out.read().splitlines()[1:]})
+    return lines
+
+
+def by_seed(lines):
+    """{(workload, seed): [census fields of each trial]}."""
+    out = {}
+    for key, ln in lines.items():
+        out.setdefault((key[0], int(key[1])), []).append(dict(zip(COLUMNS, ln.split("\t"))))
+    return out
+
+
+def pool_report(tree, before, after, names):
+    """Print the pool trials and probes of ``tree``'s benchmark whose
+    checks go from ok to failing, and the per-seed sweep breaks on its
+    pool seeds; return the number of pool regressions and new breaks."""
+    sys.path.insert(0, os.path.join(tree, "bench"))
+    import checks
+    import workloads
+
+    old, new = by_seed(before), by_seed(after)
+
+    def breaks(trials):
+        passed = {(float(t["gamma_dl_db"]), t["scheme"]): float.fromhex(t["objective_w"])
+                  for t in trials if t["checks"] == "ok" and t["status"] == "optimal"}
+        return set(checks.check_seed_sweep(passed))
+
+    regressions = 0
+    for name in names:
+        wl = workloads.WORKLOADS[name]
+        starts = {s for stratum in wl.strata for s in stratum}
+        pool = {s + i for s in starts for i in range(max(wl.window, 1))}
+        pooled, probed = [], []
+        censused = 0
+        for seed in sorted(pool | set(wl.probes)):
+            was = {(t["gamma_dl_db"], t["scheme"]): t["checks"] for t in old.get((name, seed), [])}
+            for t in new.get((name, seed), []):
+                censused += seed in pool
+                if was.get((t["gamma_dl_db"], t["scheme"])) == "ok" and t["checks"] != "ok":
+                    (pooled if seed in pool else probed).append(
+                        f"seed {seed}, {t['gamma_dl_db']} dB, {t['scheme']} ({t['checks']})")
+        print(f"{name}: {len(pooled)} of {censused} pool trials "
+              f"({len(pool) * len(wl.tasks())} in the pool) go from ok to failing")
+        for text in pooled:
+            print(f"  {text}")
+        for text in probed:
+            print(f"  probe {text}")
+        regressions += len(pooled)
+        if wl.sweep:
+            sweep_breaks = []
+            for seed in sorted(pool):
+                now = breaks(new.get((name, seed), []))
+                fresh = now - breaks(old.get((name, seed), []))
+                regressions += len(fresh)
+                sweep_breaks += [f"seed {seed}, {g:g} dB, {scheme}: {reason}"
+                                 + (" (new)" if (g, scheme, reason) in fresh else "")
+                                 for g, scheme, reason in sorted(now)]
+            print(f"{name}: {len(sweep_breaks)} check_seed_sweep breaks on pool seeds")
+            for text in sweep_breaks:
+                print(f"  {text}")
+    return regressions
 
 
 def diff(old, new, seeds, names):
-    """Print the trials whose census lines differ; return their count."""
-    before = {tuple(ln.split("\t")[:4]): ln for ln in run_tree(old, seeds, names)}
-    after = {tuple(ln.split("\t")[:4]): ln for ln in run_tree(new, seeds, names)}
+    """Print the trials whose census lines differ and the pool report;
+    return the exit status."""
+    before, after = run_trees((old, new), seeds, names)
     differ = 0
     for key in sorted(before.keys() | after.keys()):
         if before.get(key) != after.get(key):
@@ -86,7 +168,9 @@ def diff(old, new, seeds, names):
         status = ln.split("\t")[4]
         counts[status] = counts.get(status, 0) + 1
     print(f"{len(after)} trials, {differ} differ; statuses {counts}")
-    return differ
+    if pool_report(new, before, after, names):
+        return 2
+    return 1 if differ else 0
 
 
 def main():
@@ -101,7 +185,7 @@ def main():
     args = parser.parse_args()
     names = args.workload or list(WORKLOADS)
     if args.diff:
-        sys.exit(1 if diff(*(os.path.abspath(t) for t in args.diff), args.seeds, names) else 0)
+        sys.exit(diff(*(os.path.abspath(t) for t in args.diff), args.seeds, names))
     print("\t".join(COLUMNS), flush=True)
     for text in census(os.path.abspath(args.tree), args.seeds, names):
         print(text, flush=True)
