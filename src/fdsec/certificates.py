@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .linalg import eigvals_herm, herm_eig
 from .metrics import Allocation, link_model, objective, quad_forms, quad_table
@@ -125,6 +124,14 @@ def _an_patch_matrices(chan, si_vecs):
         off_all = projector_off([*chan.h, *si_vecs])
         patches.append(off_all / float(np.trace(off_all).real))
     return patches
+
+
+def linprog(*args, **kwargs):
+    """scipy.optimize.linprog, imported on the first call: a process that
+    never polishes never loads scipy.optimize."""
+    from scipy.optimize import linprog as highs
+
+    return highs(*args, **kwargs)
 
 
 def rebalance_powers(alloc, chan, cfg, scheme):

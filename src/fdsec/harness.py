@@ -8,9 +8,11 @@ Trials run in lockstep batches: the trials of one batch are prepared one by
 one, solved together by :func:`fdsec.solver.solve_many` (the trial is one
 more axis of every IPM stack, and each result is bit for bit that of a solo
 solve), and finished one by one. A batch holds at most ``BATCH_TRIALS``
-trials of one scheme and one system size, so sweep values of
-``gamma_dl_req_db`` share batches and those of ``n_antennas`` do not. One
-sweep runs one process pool over all of its batches, one batch per chunk.
+trials of one problem layout and one system size: baseline1 and baseline2,
+whose problems differ only in the fixed AN direction, share batches, and so
+do sweep values of ``gamma_dl_req_db``, while those of ``n_antennas`` do
+not. One sweep runs one process pool over all of its batches, one batch per
+chunk.
 The half-duplex probe records a feasibility verdict only.
 """
 
@@ -22,7 +24,6 @@ from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
-from scipy.special import stdtrit
 
 from .certificates import dual_certificate, rebalance_powers
 from .channel import CONFIG_FIELD_TYPES, SystemConfig, realize, watt2dbm
@@ -36,7 +37,11 @@ from .problem import (
 from .receivers import zf_receivers
 from .solver import solve, solve_many
 
-SCHEMES = ("optimal", "baseline1", "baseline2", "hd")
+# the problem layout of each scheme: the baselines' problems differ only in
+# the fixed AN direction, so they share one layout
+LAYOUTS = {"optimal": "an_matrix", "baseline1": "an_direction", "baseline2": "an_direction",
+           "hd": "no_an"}
+SCHEMES = tuple(LAYOUTS)
 
 # solver statuses that end a trial without a verdict on feasibility
 FAILED_STATUSES = ("numerical_failure", "max_iters")
@@ -230,13 +235,14 @@ def _check_jobs(jobs):
 
 
 def _batches(tasks, jobs):
-    """Task indices per lockstep batch. Tasks of one scheme and system size
-    form a group; each group is dealt round-robin into at least ``jobs``
-    batches (fewer only when it has fewer tasks) of at most BATCH_TRIALS,
-    so every worker gets a share of every scheme."""
+    """Task indices per lockstep batch. Tasks of one problem layout
+    (``LAYOUTS``) and system size form a group; each group is dealt
+    round-robin into at least ``jobs`` batches (fewer only when it has
+    fewer tasks) of at most BATCH_TRIALS, so every worker gets a share of
+    every layout."""
     groups = {}
     for i, (cfg, _, scheme, _) in enumerate(tasks):
-        key = (scheme, cfg.n_antennas, cfg.n_dl, cfg.n_ul, cfg.n_idle)
+        key = (LAYOUTS[scheme], cfg.n_antennas, cfg.n_dl, cfg.n_ul, cfg.n_idle)
         groups.setdefault(key, []).append(i)
     batches = []
     for members in groups.values():
@@ -369,6 +375,8 @@ class SummaryRow:
 
 def summarize(results):
     """Aggregate trial results by scheme with CONFIDENCE t-intervals."""
+    from scipy.special import stdtrit  # on first use: trials never load scipy.special
+
     groups = {}
     for r in results:
         groups.setdefault(r.scheme, []).append(r)

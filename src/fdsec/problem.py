@@ -101,8 +101,12 @@ def _embed_real(h):
     multiplicity, and the trace doubles.
     """
     h = np.asarray(h, dtype=complex)
-    a, b = h.real, h.imag
-    return np.block([[a, -b], [b, a]])
+    n = h.shape[0]
+    out = np.empty((2 * n, 2 * n))
+    out[:n, :n] = out[n:, n:] = h.real
+    np.negative(h.imag, out=out[:n, n:])
+    out[n:, :n] = h.imag
+    return out
 
 
 def _unembed_hermitian(m, atol=1e-6):

@@ -266,14 +266,19 @@ class _StandardForm:
         self.n_total = self.n_x + mk
         self.n_orth_total = self.n_orth_vars + mk
         self.cone_degree = sum(self.psd_dims) + self.n_orth_total
-        # per group, the (B, mk, d, d) constraint matrices of the scaled system
+        # per group, the (B, mk, d, d) constraint matrices of the scaled system,
+        # and the (B, mk) mask of the (block, row) pairs that are not all zero
         self.a_mats = [grp.row_mats(self.a_full) for grp in self.groups]
+        self.nonzero = [mats.any(axis=(-2, -1)) for mats in self.a_mats]
         # blocks whose data all commutes with the complex-embedding symmetry
         # J M J' (J the quarter-turn) can have their iterates projected onto
-        # that invariant subspace, which keeps Hermitian recovery exact
+        # that invariant subspace, which keeps Hermitian recovery exact; a
+        # zero matrix commutes with it
         self.sym_groups = []
-        for grp, cmats, mats in zip(self.groups, objectives, self.a_mats):
-            ok = _embedding_symmetric(cmats) & _embedding_symmetric(mats).all(axis=1)
+        for grp, cmats, mats, nz in zip(self.groups, objectives, self.a_mats, self.nonzero):
+            sym = np.ones(nz.shape, dtype=bool)
+            sym[nz] = _embedding_symmetric(mats[nz])
+            ok = _embedding_symmetric(cmats) & sym.all(axis=1)
             if ok.any():
                 self.sym_groups.append(_BlockGroup(grp.d, grp.blocks[ok], self.block_starts))
         # programs of one layout share every index map and size above
@@ -283,7 +288,12 @@ class _StandardForm:
     @cached_property
     def row_norms(self):
         """Per group, the (B, mk) spectral norms of each block of each scaled row."""
-        return [np.abs(np.linalg.eigvalsh(mats)).max(axis=-1) for mats in self.a_mats]
+        norms = []
+        for mats, nz in zip(self.a_mats, self.nonzero):
+            out = np.zeros(nz.shape)
+            out[nz] = np.abs(np.linalg.eigvalsh(mats[nz])).max(axis=-1)
+            norms.append(out)
+        return norms
 
     # -- views ---------------------------------------------------------------
 
@@ -327,6 +337,9 @@ class _Stack:
         self.b = stack([sf.b for sf in sfs])
         self.c = stack([sf.c_full for sf in sfs])
         self.a_mats = [stack(mats) for mats in zip(*(sf.a_mats for sf in sfs))]
+        # per group and block, the rows that are nonzero on it in some trial
+        self.block_rows = [[np.flatnonzero(rows) for rows in np.logical_or.reduce(masks)]
+                           for masks in zip(*(sf.nonzero for sf in sfs))]
         self.col_scale = stack([sf.col_scale for sf in sfs])
         self.row_scale = stack([sf.row_scale for sf in sfs])
         self.b_scale = np.array([[sf.b_scale] for sf in sfs])
@@ -409,6 +422,9 @@ class _Scaling:
             lam = np.sqrt(lam_sq)
             self.g.append(lx @ (q * (lam ** -0.5)[..., np.newaxis, :]))
             self.lam.append(lam)
+        # per group, sqrt(lam_i lam_j): the step to the boundary divides by it
+        self.lam_pairs = [np.sqrt(lam[..., :, np.newaxis] * lam[..., np.newaxis, :])
+                          for lam in self.lam]
         x_orth = u[:, lay.n_sv:]
         z_orth = z[:, lay.n_sv:]
         _break_where((x_orth <= 0.0).any(axis=1) | (z_orth <= 0.0).any(axis=1))
@@ -419,15 +435,18 @@ class _Scaling:
 
 
 def _scaled_rows(st, scal):
-    """Rows of A in the scaled space: svec(G' A_i G) per block, w*a on the orthant."""
+    """Rows of A in the scaled space: svec(G' A_i G) per block, w*a on the
+    orthant. A block's entries of the rows that are zero on it in every
+    trial stay zero, as G' 0 G is, so only its other rows are scaled."""
     lay = st.lay
-    atil = np.empty((len(st.sfs), len(lay.kept), lay.n_total))
-    for grp, a_mats, g in zip(lay.groups, st.a_mats, scal.g):
-        # one product per block over all trials and rows: broadcasting the
+    atil = np.zeros((len(st.sfs), len(lay.kept), lay.n_total))
+    for grp, a_mats, g, block_rows in zip(lay.groups, st.a_mats, scal.g, st.block_rows):
+        # one product per block over all trials and its rows: broadcasting the
         # (T, B, d, d) stack against (T, B, m, d, d) runs several times slower
-        for j, cols in enumerate(grp.cols):
+        for j, (cols, rows) in enumerate(zip(grp.cols, block_rows)):
             g_blk = g[:, j, np.newaxis]
-            atil[:, :, cols] = grp.svec(np.matmul(_t(g_blk), np.matmul(a_mats[:, j], g_blk)))
+            prod = np.matmul(_t(g_blk), np.matmul(a_mats[:, j, rows], g_blk))
+            atil[:, rows[:, np.newaxis], cols] = grp.svec(prod)
     atil[:, :, lay.n_sv:] = st.a[:, :, lay.n_sv:] * scal.w_orth[:, np.newaxis, :]
     return atil
 
@@ -453,8 +472,7 @@ def _step_to_boundary(lay, scal, dx_scaled, dz_scaled):
         return ratio.min(axis=-1, initial=np.inf)
 
     alpha = limit(scal.lam_orth[:, np.newaxis, :], dirs[..., lay.n_sv:])
-    for grp, lam in zip(lay.groups, scal.lam):
-        scale = np.sqrt(lam[..., :, np.newaxis] * lam[..., np.newaxis, :])
+    for grp, scale in zip(lay.groups, scal.lam_pairs):
         norm = grp.smat(dirs) / scale[:, np.newaxis]
         alpha = np.minimum(alpha, limit(1.0, _by_trial(np.linalg.eigvalsh, norm)[..., 0]))
     return alpha.tolist()

@@ -188,3 +188,29 @@ def kkt_residuals(problem, report):
     if problem.orthant_dim:
         comp += abs(float(report.primal.orthant @ report.orthant_dual))
     return stat, pfeas, dfeas, comp
+
+
+# ---------------------------------------------------------------------------
+# the plain forms of kernels the program computes with fewer operations
+
+
+def embed_real_block(h):
+    """Real symmetric embedding [[A, -B], [B, A]] of H = A + iB, by np.block."""
+    h = np.asarray(h, dtype=complex)
+    a, b = h.real, h.imag
+    return np.block([[a, -b], [b, a]])
+
+
+def scaled_rows_all(st, scal):
+    """Rows of A in the scaled space, svec(G' A_i G) of every row on every
+    block (none skipped as zero) and w*a on the orthant, for a solver stack
+    ``st`` and its scaling ``scal``."""
+    lay = st.lay
+    atil = np.empty((len(st.sfs), len(lay.kept), lay.n_total))
+    for grp, a_mats, g in zip(lay.groups, st.a_mats, scal.g):
+        for j, cols in enumerate(grp.cols):
+            g_blk = g[:, j, np.newaxis]
+            prod = np.matmul(np.swapaxes(g_blk, -1, -2), np.matmul(a_mats[:, j], g_blk))
+            atil[:, :, cols] = grp.svec(prod)
+    atil[:, :, lay.n_sv:] = st.a[:, :, lay.n_sv:] * scal.w_orth[:, np.newaxis, :]
+    return atil

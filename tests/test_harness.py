@@ -253,18 +253,22 @@ class TestParallelism:
         seeds = range(11)
         tasks = [t for n in (5, 6)
                  for t in _tasks(SMALL.with_updates(n_antennas=n), seeds, SCHEMES)]
+        # the baselines' problems share one layout; every other scheme has its own
+        layout = {"baseline2": "baseline1"}
         batches = _batches(tasks, jobs)
         assert sorted(i for b in batches for i in b) == list(range(len(tasks)))
         assert max(len(b) for b in batches) <= BATCH_TRIALS
         groups = {}
         for b in batches:
-            keys = {(tasks[i][2], tasks[i][0].n_antennas) for i in b}
-            assert len(keys) == 1  # one scheme and one system size per batch
+            keys = {(layout.get(tasks[i][2], tasks[i][2]), tasks[i][0].n_antennas) for i in b}
+            assert len(keys) == 1  # one problem layout and one system size per batch
             groups.setdefault(keys.pop(), []).append(len(b))
-        assert len(groups) == 2 * len(SCHEMES)
-        for sizes in groups.values():
-            assert sum(sizes) == len(seeds) and len(sizes) >= jobs
+        assert len(groups) == 2 * (len(SCHEMES) - 1)
+        for (key, _), sizes in groups.items():
+            assert sum(sizes) == len(seeds) * (2 if key == "baseline1" else 1)
+            assert len(sizes) >= jobs
             assert max(sizes) - min(sizes) <= 1
+        assert any({tasks[i][2] for i in b} == {"baseline1", "baseline2"} for b in batches)
 
     def test_jobs_must_be_positive(self, capsys):
         for jobs in (0, -1):
@@ -438,6 +442,18 @@ class TestFiles:
         path.write_text("frequency = 1\n")
         with pytest.raises(ValueError):
             load_config(path)
+
+
+class TestImports:
+    def test_import_leaves_optimize_and_special_unloaded(self):
+        # the power polish loads scipy.optimize and summarize scipy.special
+        # on first use, so a process that runs neither does not load them
+        code = ("import sys, fdsec\n"
+                "print([m for m in ('scipy.optimize', 'scipy.special') if m in sys.modules])")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=600)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class TestCli:

@@ -257,6 +257,12 @@ class TestRecovery:
 
 
 class TestEmbedding:
+    def test_same_bits_as_block_form(self):
+        rng = np.random.default_rng(5)
+        for n in (1, 2, 8):
+            for h in (random_hermitian(rng, n), rng.standard_normal((n, n)), -np.eye(n)):
+                assert _embed_real(h).tobytes() == oracles.embed_real_block(h).tobytes()
+
     def test_real_matrix_block_copy(self):
         h = np.array([[2.0, 1.0], [1.0, 3.0]])
         e = _embed_real(h)

@@ -1,5 +1,6 @@
 import logging
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +18,17 @@ from fdsec.problem import (
     build_optimal_problem,
 )
 from fdsec.receivers import zf_receivers
-from fdsec.solver import Residuals, SolverOptions, SolverReport, solve, solve_many
+from fdsec.solver import (
+    Residuals,
+    SolverOptions,
+    SolverReport,
+    _Lockstep,
+    _scaled_rows,
+    _Scaling,
+    _StandardForm,
+    solve,
+    solve_many,
+)
 
 
 class TestTrivialPrograms:
@@ -324,6 +335,48 @@ class TestSolveMany:
             warnings.simplefilter("error")
             rep = solve(prob)
         assert rep.status == "numerical_failure"
+
+
+class TestScaledRows:
+    def scalings(self, problems, steps=8):
+        """(stack, scaling) of a lockstep run of the problems at each of its
+        first ``steps`` iterates."""
+        sfs = [_StandardForm(prob) for prob in problems]
+        assert len({sf.layout for sf in sfs}) == 1
+        lock = _Lockstep(sfs, SolverOptions())
+        for _ in range(steps):
+            yield lock.st, _Scaling(lock.lay, lock.u, lock.z)
+            lock.it += 1
+            lock.test_exits()
+            lock.step()
+
+    def test_paper_optimal_stack_matches_all_rows(self):
+        tasks = [(SystemConfig(), seed, "optimal") for seed in (11, 68, 123)]
+        for st, scal in self.scalings([scheme_problem(*task) for task in tasks]):
+            # a W_k block is nonzero on the link rows C1, C2 and its own
+            # C3 rows (K + J + M = 14), the AN block V on all but C5
+            assert [len(rows) for rows in st.block_rows[0]] == [14] * 6 + [54]
+            assert np.array_equal(_scaled_rows(st, scal), oracles.scaled_rows_all(st, scal))
+
+    def test_mixed_baseline_stack_matches_all_rows(self):
+        cfg = TestSolveMany().sweep_at(12.0)
+        tasks = [(cfg, seed, scheme) for seed in (0, 10) for scheme in ("baseline1", "baseline2")]
+        for st, scal in self.scalings([scheme_problem(*task) for task in tasks]):
+            assert len(st.sfs) == 4
+            assert np.array_equal(_scaled_rows(st, scal), oracles.scaled_rows_all(st, scal))
+
+    def test_block_scaled_on_rows_nonzero_in_any_trial(self):
+        prob, _ = random_diagonal_instance(np.random.default_rng(3), dims=[2, 4], m=5)
+        # a row on which block 0 is nonzero, and so is some other block
+        i = next(i for i, con in enumerate(prob.constraints)
+                 if con.psd_coeffs[0].any() and con.psd_coeffs[1].any())
+        con = prob.constraints[i]
+        cons = list(prob.constraints)
+        cons[i] = replace(con, psd_coeffs={1: con.psd_coeffs[1]})
+        other = replace(prob, constraints=tuple(cons))
+        for st, scal in self.scalings([other, prob]):
+            assert not st.sfs[0].nonzero[0][0, i] and i in st.block_rows[0][0]
+            assert np.array_equal(_scaled_rows(st, scal), oracles.scaled_rows_all(st, scal))
 
 
 class TestKktResiduals:

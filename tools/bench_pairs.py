@@ -10,8 +10,8 @@ side that runs first swaps from pair to pair. The claimed workload gets
 ``--others`` pairs. Then one ``--trace 1`` run of the claimed workload per
 side gives the per-layer metrics. The record keeps every run's last line and
 BLAS thread counts, and per workload and end-to-end metric the median and
-quartiles of each side, plus how many pairs the change won on
-``trials_per_s``.
+quartiles of each side, plus how many pairs the change won on each
+metric, ties counting for neither side.
 """
 
 import argparse
@@ -56,6 +56,7 @@ def main():
     with open(os.path.join(trees["parent"], "BENCHMARK.json")) as fh:
         spec = json.load(fh)
     metrics = [m["name"] for m in spec["end_to_end"]]
+    higher = {m["name"]: m["better"] == "higher" for m in spec["end_to_end"]}
 
     runs = []
     plan = [(w["name"], args.pairs if w["name"] == args.claim else args.others)
@@ -80,12 +81,13 @@ def main():
                 side: quartiles([r["last_line"]["metrics"][metric]["value"]
                                  for r in mine if r["side"] == side])
                 for side in trees}
-        by_pair = {}
-        for r in mine:
-            by_pair.setdefault(r["pair"], {})[r["side"]] = \
-                r["last_line"]["metrics"]["trials_per_s"]["value"]
-        won = sum(p["change"] > p["parent"] for p in by_pair.values())
-        entry["trials_per_s_pairs_won_by_change"] = f"{won} of {len(by_pair)}"
+            by_pair = {}
+            for r in mine:
+                by_pair.setdefault(r["pair"], {})[r["side"]] = \
+                    r["last_line"]["metrics"][metric]["value"]
+            sign = 1.0 if higher[metric] else -1.0
+            won = sum(sign * (p["change"] - p["parent"]) > 0 for p in by_pair.values())
+            entry[metric]["pairs_won_by_change"] = f"{won} of {len(by_pair)}"
         entry["failed_per_run"] = sorted(
             f"{r['side']}: {r['last_line']['failed']}/{r['last_line']['attempted']}, "
             f"correct={r['last_line']['correct']}" for r in mine)
