@@ -29,7 +29,7 @@ from .problem import (
     recover_allocation,
 )
 from .receivers import ReceiverSet, zf_receivers
-from .solver import Residuals, SolverOptions, SolverReport, solve, solve_many
+from .solver import SolverOptions, SolverReport, solve, solve_many
 
 __all__ = [
     "Allocation",
@@ -42,7 +42,6 @@ __all__ = [
     "QosReport",
     "RankReport",
     "ReceiverSet",
-    "Residuals",
     "SolverOptions",
     "SolverReport",
     "SweepSpec",

@@ -111,11 +111,6 @@ class Geometry:
     def idle_dist(self):
         return np.linalg.norm(self.idle_pos, axis=1)
 
-    @property
-    def distances(self):
-        """All K+J+M BS distances in DL, UL, idle order."""
-        return np.concatenate([self.dl_dist, self.ul_dist, self.idle_dist])
-
 
 @dataclass(frozen=True)
 class ChannelRealization:

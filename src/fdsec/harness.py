@@ -148,7 +148,10 @@ def evaluate_instance(cfg, seed, scheme):
 def evaluate_batch(tasks):
     """:func:`evaluate_instance` of each (cfg, seed, scheme) task, with
     every problem solved in one :func:`fdsec.solver.solve_many` call; a
-    batch of one calls :func:`fdsec.solver.solve`."""
+    batch of one calls :func:`fdsec.solver.solve`, which returns the same
+    report. Keep that fork: ``bench/spans.py`` times solves by wrapping
+    ``fdsec.harness.solve``, so without it every ``solver.*`` span of a
+    serial trial loop would read 0."""
     insts = [_prepare(*task) for task in tasks]
     problems = [inst.problem for inst in insts]
     if len(problems) == 1:
@@ -162,7 +165,7 @@ def _prepare(cfg, seed, scheme):
     """Channel, receivers and conic problem of one task."""
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
-    geometry, chan = realize(cfg, seed)
+    _, chan = realize(cfg, seed)
     receivers = zf_receivers(chan.g)
     if scheme == "optimal":
         problem, vmap = build_optimal_problem(chan, cfg, receivers)
@@ -171,7 +174,7 @@ def _prepare(cfg, seed, scheme):
     else:
         problem, vmap = build_baseline_problem(chan, cfg, receivers, scheme)
     return SimpleNamespace(
-        cfg=cfg, seed=seed, scheme=scheme, geometry=geometry, chan=chan,
+        cfg=cfg, seed=seed, scheme=scheme, chan=chan,
         receivers=receivers, problem=problem, vmap=vmap, report=None,
         alloc=None, qos=None, rank=None, min_margin=float("nan"),
         precheck=hd_precheck_fires(chan, cfg, receivers) if scheme == "hd" else None,

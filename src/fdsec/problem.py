@@ -61,8 +61,13 @@ class ConicProblem:
                 raise ValueError(f"objective block {b} has wrong shape")
             if not np.all(np.isfinite(c)):
                 raise ValueError("objective coefficients must be finite")
+            # the objective lies in the dual cone, so no program is unbounded
+            if np.linalg.eigvalsh(c)[0] < -1e-12 * np.abs(c).max():
+                raise ValueError(f"objective block {b} is not positive semidefinite")
         if self.objective_orthant.shape != (self.orthant_dim,):
             raise ValueError("orthant objective has wrong length")
+        if np.any(self.objective_orthant < 0.0):
+            raise ValueError("orthant objective weights must be nonnegative")
         for con in self.constraints:
             if con.sense not in SENSES:
                 raise ValueError(f"unknown sense {con.sense!r}")

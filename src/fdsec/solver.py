@@ -11,7 +11,10 @@ Infeasibility is decided on the iterates themselves: once the dual
 iterate y of an infeasible program grows along a Farkas ray, the exact
 test ``_farkas_rays`` accepts it, with every cone violation measured
 against the magnitude of the terms it sums (Todd, "Detecting infeasibility
-in infeasible-interior-point methods for optimization", 2004).
+in infeasible-interior-point methods for optimization", 2004). The
+objective lies in the dual cone (``ConicProblem.validate`` rejects one that
+does not), so no program is unbounded and there is no dual-infeasibility
+verdict.
 
 The PSD blocks are stacked by size: each group of same-size blocks is one
 (B, d, d) array, gathered from and scattered to the svec vector through
@@ -43,7 +46,7 @@ _MAX_HALVINGS = 12   # step fallback on factorization failure
 # the stop rule asks mu <= rel_tol * _MU_FACTOR, relative to the objective:
 # deep enough for the dual certificate's null-eigenvalue and complementarity tests
 _MU_FACTOR = 1e-3
-_RAY_TOL = 1e-8      # relative cone violation a Farkas or dual ray may keep
+_RAY_TOL = 1e-8      # relative cone violation a Farkas ray may keep
 
 
 @dataclass(frozen=True)
@@ -60,26 +63,14 @@ class SolverOptions:
 
 
 @dataclass(frozen=True)
-class Residuals:
-    primal: float
-    dual: float
-    gap: float
-
-
-# the residuals of a trial that ends before any test decides it
-_UNKNOWN = Residuals(np.inf, np.inf, np.inf)
-
-
-@dataclass(frozen=True)
 class SolverReport:
-    status: str                  # optimal | primal_infeasible | dual_infeasible | max_iters | numerical_failure
+    status: str                  # optimal | primal_infeasible | max_iters | numerical_failure
     primal: BlockValues
     multipliers: np.ndarray      # one nonnegative multiplier per inequality
     psd_duals: tuple             # one real symmetric dual block per PSD variable
     orthant_dual: np.ndarray
     primal_obj: float
     dual_obj: float
-    residuals: Residuals
     iterations: int              # main-loop iterations
     iter_log: tuple = field(default=())
     solve_time: float = 0.0
@@ -261,6 +252,7 @@ class _StandardForm:
         self.a_full = np.hstack([a, -np.eye(mk)]) if mk else np.zeros((0, self.n_x))
         del a
         self.b = b
+        self.b_orig = b * self.b_scale / self.row_scale  # kept rows' constants, >= orientation
         self.c_full = np.concatenate([c_scaled, np.zeros(mk)])
         self.c_orig = c
         self.n_total = self.n_x + mk
@@ -305,14 +297,13 @@ class _StandardForm:
     def orth_slice(self, vec):
         return vec[self.n_sv:]
 
-    def unscale_primal(self, u):
-        return u[: self.n_x] * self.col_scale * self.b_scale
 
-    def unscale_dual(self, y, z):
-        y_orig = np.zeros(self.m)
-        y_orig[self.kept] = y * self.row_scale * self.obj_scale
-        z_orig = z[: self.n_x] / self.col_scale * self.obj_scale
-        return y_orig, z_orig
+def _unscale(form, u, y, z):
+    """x, the kept rows' y and z in original units, of one ``_StandardForm``'s
+    iterate or of a ``_Stack``'s stacked iterates."""
+    n_x = form.col_scale.shape[-1]
+    return (u[..., :n_x] * form.col_scale * form.b_scale, y * form.row_scale * form.obj_scale,
+            z[..., :n_x] / form.col_scale * form.obj_scale)
 
 
 # ---------------------------------------------------------------------------
@@ -347,8 +338,7 @@ class _Stack:
         self.c_orig = stack([sf.c_orig for sf in sfs])
         self.norm_b = 1.0 + np.abs(self.b).max(axis=1, initial=0.0)
         self.norm_c = 1.0 + np.abs(self.c).max(axis=1, initial=0.0)
-        # constants of the kept rows in original units, >= orientation
-        self.b_orig = self.b * self.b_scale / self.row_scale
+        self.b_orig = stack([sf.b_orig for sf in sfs])
         self.b_orig_norm = 1.0 + np.abs(self.b_orig).max(axis=1, initial=0.0)
         self.c_orig_norm = 1.0 + np.abs(self.c_orig).max(axis=1, initial=0.0)
 
@@ -661,7 +651,8 @@ def solve_many(problems, opts=None):
     unit multiplier of an all-zero row with a positive constant. A solve
     that stops before either test decides ends in ``max_iters`` or
     ``numerical_failure``, unless its best iterate meets the relaxed
-    optimality test.
+    optimality test. Every objective lies in the dual cone, as
+    ``ConicProblem.validate`` checks, so no program is unbounded.
 
     Problems are grouped by standard-form layout, and each group runs
     through one lockstep loop; reports come back in input order, each bit
@@ -675,7 +666,7 @@ def solve_many(problems, opts=None):
     for i, problem in enumerate(problems):
         tick = time.perf_counter()
         sf = _StandardForm(problem)
-        rep = _presolved_report(sf, opts)
+        rep = _presolved_report(sf)
         if rep is not None:
             reports[i] = replace(rep, solve_time=time.perf_counter() - tick)
         else:
@@ -687,28 +678,17 @@ def solve_many(problems, opts=None):
     return reports
 
 
-def _presolved_report(sf, opts):
+def _presolved_report(sf):
     """The report of a program that presolve decides, else None."""
     if sf.infeasible_rows.size:
         # 0 >= b_i > 0: the unit multiplier on that row is a ray, as -A'e_i = 0
         zeros = np.zeros(sf.n_total)
-        res = Residuals(primal=np.inf, dual=0.0, gap=np.inf)
-        rep = _report(sf, "primal_infeasible", zeros, np.zeros(len(sf.kept)), zeros, res, 0, [])
+        rep = _report(sf, "primal_infeasible", zeros, np.zeros(len(sf.kept)), zeros, 0, [])
         rep.multipliers[sf.infeasible_rows[0]] = 1.0
         return rep
     if len(sf.kept) == 0:
-        # unconstrained over the cone: optimum 0 iff the objective is in the dual cone
-        u = np.full(sf.n_total, 0.0)
-        z = sf.c_full.copy()
-        feasible_dual = True
-        for grp in sf.groups:
-            if np.any(np.linalg.eigvalsh(grp.smat(z))[:, 0] < -opts.abs_tol):
-                feasible_dual = False
-        if sf.n_orth_vars and np.any(sf.orth_slice(z[: sf.n_x]) < -opts.abs_tol):
-            feasible_dual = False
-        status = "optimal" if feasible_dual else "dual_infeasible"
-        res = Residuals(primal=0.0, dual=0.0, gap=0.0)
-        return _report(sf, status, u, np.zeros(0), z, res, 0, [])
+        # unconstrained over the cone, whose dual cone holds the objective: optimum 0
+        return _report(sf, "optimal", np.zeros(sf.n_total), np.zeros(0), sf.c_full.copy(), 0, [])
     return None
 
 
@@ -727,9 +707,9 @@ class _Lockstep:
         self.st = _Stack(sfs)
         n_trials = len(sfs)
         self.trials = list(range(n_trials))
-        self.exits = [None] * n_trials  # (status, u, y, z, residuals, iterations)
+        self.exits = [None] * n_trials  # (status, u, y, z, iterations)
         self.logs = [[] for _ in sfs]
-        self.best = [None] * n_trials   # (merit, u, y, z, residuals, meets_relaxed_criteria)
+        self.best = [None] * n_trials   # (merit, u, y, z, meets_relaxed_criteria)
         self.stall = [0] * n_trials
         self.it = 0
 
@@ -765,27 +745,28 @@ class _Lockstep:
         self.leave({r: "max_iters" for r in range(len(self.trials))})
 
         reports = []
-        for t, (status, u, y, z, res, iters) in enumerate(self.exits):
+        for t, (status, u, y, z, iters) in enumerate(self.exits):
             tick = time.perf_counter()
             if status in ("max_iters", "numerical_failure") and self.best[t] is not None:
                 # fall back to the best iterate seen; accept it when it already meets
                 # the feasibility tolerances and a mildly relaxed gap
-                _, u, y, z, res, relaxed = self.best[t]
+                _, u, y, z, relaxed = self.best[t]
                 if relaxed:
                     status = "optimal"
-            rep = _report(self.sfs[t], status, u, y, z, res, iters, self.logs[t])
+            rep = _report(self.sfs[t], status, u, y, z, iters, self.logs[t])
             reports.append(replace(rep, solve_time=clocks[t] + time.perf_counter() - tick))
         return reports
 
     def leave(self, ends):
         """End the trials at the rows of ``ends`` at this iteration. Each
-        value is a status, or (status, residuals, z) for a verdict."""
+        value is a status, or (status, z) for a verdict whose dual slack is
+        not the iterate's."""
         if not ends:
             return
         for r, end in ends.items():
-            status, res, z = end if isinstance(end, tuple) else (end, _UNKNOWN, self.z[r].copy())
+            status, z = end if isinstance(end, tuple) else (end, self.z[r].copy())
             u, y = self.u[r].copy(), self.y[r].copy()
-            self.exits[self.trials[r]] = (status, u, y, z, res, self.it)
+            self.exits[self.trials[r]] = (status, u, y, z, self.it)
         keep = [r for r in range(len(self.trials)) if r not in ends]
         self.trials = [self.trials[r] for r in keep]
         self.st = self.st.take(keep) if keep else None
@@ -793,13 +774,12 @@ class _Lockstep:
         self.resid = tuple(a[keep] for a in self.resid)
 
     def test_exits(self):
-        """Residuals, best iterates and the log of this iteration; end the
-        trials that reach the optimum or carry an infeasibility ray."""
+        """The residuals, best iterates and the log of this iteration; end the
+        trials that reach the optimum or carry a Farkas ray."""
         st, lay, opts = self.st, self.lay, self.opts
         u, y, z = self.u, self.y, self.z
-        au = _mv(st.a, u)
         aty = _mv(st.a_t, y)
-        r_p = st.b - au
+        r_p = st.b - _mv(st.a, u)
         r_d = st.c - aty - z
         mu = _dot(u, z) / lay.cone_degree
         self.resid = (r_p, r_d, mu)
@@ -807,16 +787,14 @@ class _Lockstep:
         dobj_s = _dot(st.b, y).tolist()
 
         # original-space residuals and objectives
-        x_orig = u[:, : lay.n_x] * st.col_scale * st.b_scale
-        y_kept = y * st.row_scale * st.obj_scale
-        z_orig = z[:, : lay.n_x] / st.col_scale * st.obj_scale
+        x_orig, y_kept, z_orig = _unscale(st, u, y, z)
         pobj = _dot(st.c_orig, x_orig).tolist()
         dobj = _dot(st.b_orig, y_kept).tolist()
         relp_o, reld_o = _original_residuals(st, x_orig, y_kept, z_orig)
         relp_s = (np.abs(r_p).max(axis=1, initial=0.0) / st.norm_b).tolist()
         reld_s = (np.abs(r_d).max(axis=1, initial=0.0) / st.norm_c).tolist()
 
-        ends, undecided = {}, []
+        ends, rows = {}, []
         for r, (t, mu_r) in enumerate(zip(self.trials, mu.tolist())):
             relp = max(relp_s[r], relp_o[r])
             reld = max(reld_s[r], reld_o[r])
@@ -839,8 +817,7 @@ class _Lockstep:
                     relp <= opts.rel_tol and reld <= opts.rel_tol
                     and relgap_s <= 500 * opts.rel_tol and mu_rel <= 50 * mu_target
                 )
-                res = Residuals(primal=relp, dual=reld, gap=gap_abs / (1.0 + abs(pobj[r])))
-                self.best[t] = (merit, u[r].copy(), y[r].copy(), z[r].copy(), res, relaxed)
+                self.best[t] = (merit, u[r].copy(), y[r].copy(), z[r].copy(), relaxed)
 
             self.logs[t].append({
                 "iteration": self.it - 1, "primal_obj": pobj[r], "dual_obj": dobj[r],
@@ -849,13 +826,11 @@ class _Lockstep:
             })
 
             if relp <= opts.rel_tol and reld <= opts.rel_tol and gap_ok and mu_ok:
-                res = Residuals(primal=relp, dual=reld, gap=gap_abs / (1.0 + abs(pobj[r])))
-                ends[r] = ("optimal", res, z[r].copy())
+                ends[r] = "optimal"
             else:
-                undecided.append((r, Residuals(primal=relp, dual=reld, gap=np.inf)))
+                rows.append(r)
 
-        # infeasibility certificates from the diverging iterates
-        rows = [r for r, _ in undecided]
+        # Farkas rays from the diverging dual iterates
         rays = []
         while rows:
             try:
@@ -865,17 +840,9 @@ class _Lockstep:
             except _Breakdown as exc:
                 ends.update((rows[k], "numerical_failure") for k in exc.rows)
                 rows = [r for r in rows if r not in ends]
-        rays = dict(zip(rows, rays))
-        for r, res in undecided:
-            sf = st.sfs[r]
-            if r in ends:
-                continue
-            if rays[r]:
-                ends[r] = ("primal_infeasible", res, -sf.a_full.T @ y[r])
-            elif pobj_s[r] < 0.0:
-                ray_res = float(np.abs(au[r]).max()) / -pobj_s[r]
-                if ray_res <= _RAY_TOL * max(1.0, np.abs(sf.b).max()):
-                    ends[r] = ("dual_infeasible", res, z[r].copy())
+        for r, ray in zip(rows, rays):
+            if ray:
+                ends[r] = ("primal_infeasible", -st.sfs[r].a_full.T @ y[r])
         self.leave(ends)
 
     def step(self):
@@ -904,10 +871,11 @@ class _Lockstep:
         self.leave(ends)
 
 
-def _report(sf, status, u, y, z, res, iters, log):
+def _report(sf, status, u, y, z, iters, log):
     """The report of one trial's exit iterate, in the original data's units."""
-    x_orig = sf.unscale_primal(u)
-    y_orig, z_orig = sf.unscale_dual(y, z)
+    x_orig, y_kept, z_orig = _unscale(sf, u, y, z)
+    y_orig = np.zeros(sf.m)
+    y_orig[sf.kept] = y_kept
     psd_vals = sf.psd_mats(x_orig)
     psd_duals = sf.psd_mats(z_orig)
     orth_vals = sf.orth_slice(x_orig) if sf.n_orth_vars else np.zeros(0)
@@ -919,13 +887,7 @@ def _report(sf, status, u, y, z, res, iters, log):
         psd_duals=psd_duals,
         orthant_dual=orth_dual,
         primal_obj=float(sf.c_orig @ x_orig),
-        dual_obj=_dual_objective(sf, y_orig),
-        residuals=res,
+        dual_obj=float(sf.b_orig @ y_kept),  # b'y in the all->= orientation
         iterations=iters,
         iter_log=tuple(log),
     )
-
-
-def _dual_objective(sf, y_orig):
-    """b'y of the original problem in its all->= orientation."""
-    return float((sf.b * sf.b_scale / sf.row_scale) @ y_orig[sf.kept])

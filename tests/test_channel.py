@@ -78,6 +78,11 @@ class TestNoise:
         assert sigma2_bs == pytest.approx(10 ** (-14.9))
 
 
+def distances(geom):
+    """All K+J+M BS distances of a drop."""
+    return np.concatenate([geom.dl_dist, geom.ul_dist, geom.idle_dist])
+
+
 class TestGeometry:
     def test_deterministic(self):
         a = drop_geometry(SystemConfig(), 42)
@@ -88,12 +93,12 @@ class TestGeometry:
     def test_support(self):
         cfg = SystemConfig()
         for seed in range(50):
-            d = drop_geometry(cfg, seed).distances
+            d = distances(drop_geometry(cfg, seed))
             assert np.all(d >= cfg.ref_distance_m) and np.all(d <= cfg.max_distance_m)
 
     def test_uniform_mean(self):
         cfg = SystemConfig()
-        samples = np.concatenate([drop_geometry(cfg, s).distances for s in range(750)])
+        samples = np.concatenate([distances(drop_geometry(cfg, s)) for s in range(750)])
         n = samples.size
         se = (cfg.max_distance_m - cfg.ref_distance_m) / np.sqrt(12.0) / np.sqrt(n)
         assert abs(samples.mean() - 265.0) < 3 * se

@@ -121,8 +121,7 @@ class TestRunTrial:
         cfg = SystemConfig(n_antennas=n, n_dl=k, n_ul=j, n_idle=m)
         results = [run_trial(cfg, seed, scheme) for scheme in SCHEMES]
         for r in results:
-            assert r.status in ("optimal", "primal_infeasible", "dual_infeasible",
-                                "max_iters", "numerical_failure")
+            assert r.status in ("optimal", "primal_infeasible", "max_iters", "numerical_failure")
             if r.status == "primal_infeasible":
                 inst = evaluate_instance(cfg, seed, r.scheme)
                 assert checks.valid_ray(inst.problem, inst.report.multipliers)

@@ -19,7 +19,6 @@ from fdsec.problem import (
 )
 from fdsec.receivers import zf_receivers
 from fdsec.solver import (
-    Residuals,
     SolverOptions,
     SolverReport,
     _Lockstep,
@@ -57,9 +56,17 @@ class TestTrivialPrograms:
         assert rep.status == "primal_infeasible"
 
     def test_unbounded(self):
-        prob = lp_problem([-1.0], [[1.0]], [">="], [1.0])
-        rep = solve(prob)
-        assert rep.status == "dual_infeasible"
+        # an objective outside the dual cone could make a program unbounded:
+        # validate rejects it, so the solver never meets one
+        with pytest.raises(ValueError, match="nonnegative"):
+            lp_problem([-1.0], [[1.0]], [">="], [1.0]).validate()
+        indefinite = ConicProblem(
+            psd_dims=(2,), orthant_dim=0,
+            objective_psd=(np.diag([1.0, -1.0]),), objective_orthant=np.zeros(0),
+            constraints=(),
+        )
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            solve(indefinite)
 
     def test_no_constraints(self):
         prob = ConicProblem(
@@ -392,7 +399,6 @@ class TestKktResiduals:
             psd_duals=(),
             orthant_dual=np.array([0.0]),
             primal_obj=1.0, dual_obj=1.0,
-            residuals=Residuals(0.0, 0.0, 0.0),
             iterations=0,
         )
         stat, pfeas, dfeas, comp = kkt_residuals(prob, report)
@@ -407,7 +413,6 @@ class TestKktResiduals:
             psd_duals=(),
             orthant_dual=np.array([0.0]),
             primal_obj=1.0, dual_obj=1.0,
-            residuals=Residuals(0.0, 0.0, 0.0),
             iterations=0,
         )
         stat, pfeas, dfeas, comp = kkt_residuals(prob, report)

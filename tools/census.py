@@ -7,8 +7,10 @@ For seeds 0 to N-1 of each workload in ``bench/workloads.py``, one
 tab-separated line per trial: workload, seed, gamma_DL in dB, scheme,
 solver status, IPM iterations, ``primal_obj``, ``dual_obj``, the QoS
 objective and ``min_margin`` (each as float hex, so equal text means equal
-bits), and the verdicts of ``bench/checks.check_instance`` ("ok" when none
-fails). ``paper-optimal`` and ``paper-hd`` run one
+bits), a short SHA-1 of the bytes of the report's arrays (``multipliers``,
+``psd_duals``, ``orthant_dual`` and the primal blocks), and the verdicts of
+``bench/checks.check_instance`` ("ok" when none fails). Equal lines thus
+mean bit-equal reports. ``paper-optimal`` and ``paper-hd`` run one
 ``harness.evaluate_instance`` per trial, as the benchmark does.
 ``gamma-sweep`` runs each seed's four gamma values of one scheme as one
 ``harness.evaluate_batch`` call, the lockstep batch a sweep of that seed
@@ -28,16 +30,19 @@ line differs, else 0.
 """
 
 import argparse
+import hashlib
 import os
 import subprocess
 import sys
 import tempfile
 from contextlib import ExitStack
 
+import numpy as np
+
 HERE = os.path.dirname(os.path.abspath(__file__))
 WORKLOADS = ("paper-optimal", "paper-hd", "gamma-sweep")
 COLUMNS = ("workload", "seed", "gamma_dl_db", "scheme", "status", "iterations",
-           "primal_obj", "dual_obj", "objective_w", "min_margin", "checks")
+           "primal_obj", "dual_obj", "objective_w", "min_margin", "report_sha1", "checks")
 
 
 def census(tree, seeds, names):
@@ -70,8 +75,18 @@ def line(name, inst, failed):
     values = (name, inst.seed, f"{inst.cfg.gamma_dl_req_default_db:g}", inst.scheme,
               rep.status, rep.iterations, float(rep.primal_obj).hex(),
               float(rep.dual_obj).hex(), float(objective).hex(),
-              float(inst.min_margin).hex(), ",".join(failed) or "ok")
+              float(inst.min_margin).hex(), report_digest(rep), ",".join(failed) or "ok")
     return "\t".join(str(v) for v in values)
+
+
+def report_digest(rep):
+    """First 12 hex digits of a SHA-1 over the bytes of every report array."""
+    arrays = (rep.multipliers, *rep.psd_duals, rep.orthant_dual, *rep.primal.psd,
+              rep.primal.orthant)
+    sha = hashlib.sha1()
+    for a in arrays:
+        sha.update(np.ascontiguousarray(a).tobytes())
+    return sha.hexdigest()[:12]
 
 
 def run_trees(trees, seeds, names):
