@@ -24,11 +24,12 @@ from .harness import (
 SWEEP_PARAMS = {"gamma_dl": "gamma_dl_req_db", "antennas": "n_antennas"}
 
 
-def _jobs(text):
-    jobs = int(text)
-    if jobs < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
-    return jobs
+def _positive(text):
+    """argparse type of a count that must be at least 1 (--jobs, --trials)."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def build_parser():
@@ -41,21 +42,21 @@ def build_parser():
     trial = sub.add_parser("trial", help="run Monte Carlo trials for one scheme set")
     trial.add_argument("--config", help="flat key=value config file")
     trial.add_argument("--seed", type=int, default=0, help="base seed")
-    trial.add_argument("--trials", type=int, default=1, help="number of seeds")
+    trial.add_argument("--trials", type=_positive, default=1, help="number of seeds")
     trial.add_argument("--scheme", default="optimal",
                        help="comma list from {optimal,baseline1,baseline2,hd}")
-    trial.add_argument("--jobs", type=_jobs, default=1)
+    trial.add_argument("--jobs", type=_positive, default=1)
     trial.add_argument("--out", default=".", help="output directory")
 
     swp = sub.add_parser("sweep", help="sweep a parameter and aggregate")
     swp.add_argument("--config", help="flat key=value config file")
     swp.add_argument("--sweep", choices=sorted(SWEEP_PARAMS), required=True)
     swp.add_argument("--values", required=True, help="comma-separated sweep values")
-    swp.add_argument("--trials", type=int, default=100)
+    swp.add_argument("--trials", type=_positive, default=100)
     swp.add_argument("--scheme", default="optimal,baseline1,baseline2",
                      help="comma list of schemes to compare")
     swp.add_argument("--seed", type=int, default=0)
-    swp.add_argument("--jobs", type=_jobs, default=1)
+    swp.add_argument("--jobs", type=_positive, default=1)
     swp.add_argument("--out", default=".", help="output directory")
 
     summ = sub.add_parser("summarize", help="summarize an existing trials.csv")

@@ -50,7 +50,8 @@ class ConicProblem:
     objective_orthant: np.ndarray
     constraints: tuple
 
-    def validate(self):
+    def __post_init__(self):
+        """Reject a program the solver cannot take, so every one built is valid."""
         for d in self.psd_dims:
             if d <= 0 or d % 2 != 0:
                 raise ValueError("PSD block dims must be positive and even")
@@ -80,7 +81,6 @@ class ConicProblem:
                     raise ValueError(f"{con.label}: block {b} coefficient shape mismatch")
             if not np.isfinite(con.constant):
                 raise ValueError(f"{con.label}: non-finite constant")
-        return self
 
 
 @dataclass(frozen=True)
@@ -225,7 +225,7 @@ def _assemble(chan, cfg, receivers, an_mode, direction=None):
         objective_psd=tuple(obj_psd),
         objective_orthant=obj_orth,
         constraints=tuple(constraints),
-    ).validate()
+    )
     vmap = VariableMap(
         n=n, k_users=k, j_users=j, m_users=m,
         w_blocks=tuple(range(k)), p_orthant=tuple(range(j)),

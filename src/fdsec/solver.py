@@ -12,9 +12,9 @@ iterate y of an infeasible program grows along a Farkas ray, the exact
 test ``_farkas_rays`` accepts it, with every cone violation measured
 against the magnitude of the terms it sums (Todd, "Detecting infeasibility
 in infeasible-interior-point methods for optimization", 2004). The
-objective lies in the dual cone (``ConicProblem.validate`` rejects one that
-does not), so no program is unbounded and there is no dual-infeasibility
-verdict.
+objective lies in the dual cone (a ``ConicProblem`` with one that does not
+cannot be built), so no program is unbounded and there is no
+dual-infeasibility verdict.
 
 The PSD blocks are stacked by size: each group of same-size blocks is one
 (B, d, d) array, gathered from and scattered to the svec vector through
@@ -43,23 +43,13 @@ logger = logging.getLogger(__name__)
 
 _FTB = 0.99          # fraction-to-boundary step factor
 _MAX_HALVINGS = 12   # step fallback on factorization failure
-# the stop rule asks mu <= rel_tol * _MU_FACTOR, relative to the objective:
+_MAX_ITERS = 200     # main-loop iterations before a solve ends in max_iters
+_REL_TOL = 1e-7      # residuals and relative gap of an optimum
+_ABS_TOL = 1e-8      # gaps are relative to max(|objective|, _ABS_TOL / _REL_TOL)
+# the stop rule asks mu <= _REL_TOL * _MU_FACTOR, relative to the objective:
 # deep enough for the dual certificate's null-eigenvalue and complementarity tests
 _MU_FACTOR = 1e-3
 _RAY_TOL = 1e-8      # relative cone violation a Farkas ray may keep
-
-
-@dataclass(frozen=True)
-class SolverOptions:
-    abs_tol: float = 1e-8
-    rel_tol: float = 1e-7
-    max_iters: int = 200
-
-    def __post_init__(self):
-        if min(self.abs_tol, self.rel_tol) <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -165,7 +155,6 @@ class _StandardForm:
     """min c.u  s.t.  A u = b, u in (PSD blocks) x orthant, plus unscaling data."""
 
     def __init__(self, problem):
-        problem.validate()
         m = len(problem.constraints)
         self.psd_dims = list(problem.psd_dims)
         sv_lens = [d * (d + 1) // 2 for d in self.psd_dims]
@@ -637,12 +626,12 @@ def _original_residuals(st, x_orig, y_kept, z_orig):
 # the solve
 
 
-def solve(problem, opts=None):
+def solve(problem):
     """Solve one conic problem: :func:`solve_many` on a list of one."""
-    return solve_many([problem], opts)[0]
+    return solve_many([problem])[0]
 
 
-def solve_many(problems, opts=None):
+def solve_many(problems):
     """Solve conic problems to optimality or produce infeasibility verdicts.
 
     Every ``primal_infeasible`` verdict carries a Farkas ray in
@@ -651,8 +640,10 @@ def solve_many(problems, opts=None):
     unit multiplier of an all-zero row with a positive constant. A solve
     that stops before either test decides ends in ``max_iters`` or
     ``numerical_failure``, unless its best iterate meets the relaxed
-    optimality test. Every objective lies in the dual cone, as
-    ``ConicProblem.validate`` checks, so no program is unbounded.
+    optimality test. Every objective lies in the dual cone, as a
+    ``ConicProblem`` checks when it is built, so no program is unbounded.
+    The stop rule's tolerances and the iteration cap are the module
+    constants ``_REL_TOL``, ``_ABS_TOL`` and ``_MAX_ITERS``.
 
     Problems are grouped by standard-form layout, and each group runs
     through one lockstep loop; reports come back in input order, each bit
@@ -660,7 +651,6 @@ def solve_many(problems, opts=None):
     the problem's own presolve and report time plus its share of the wall
     time of each lockstep iteration it took part in.
     """
-    opts = opts or SolverOptions()
     reports = [None] * len(problems)
     layouts = {}
     for i, problem in enumerate(problems):
@@ -673,7 +663,7 @@ def solve_many(problems, opts=None):
             layouts.setdefault(sf.layout, []).append((i, sf, time.perf_counter() - tick))
     for group in layouts.values():
         index, sfs, clocks = zip(*group)
-        for i, rep in zip(index, _Lockstep(list(sfs), opts).run(list(clocks))):
+        for i, rep in zip(index, _Lockstep(list(sfs)).run(list(clocks))):
             reports[i] = rep
     return reports
 
@@ -700,9 +690,8 @@ class _Lockstep:
     count that a solve of it alone ends with.
     """
 
-    def __init__(self, sfs, opts):
+    def __init__(self, sfs):
         self.sfs = sfs
-        self.opts = opts
         self.lay = lay = sfs[0]
         self.st = _Stack(sfs)
         n_trials = len(sfs)
@@ -728,7 +717,7 @@ class _Lockstep:
     def run(self, clocks):
         """Iterate until every trial exits; one report per trial. ``clocks``
         holds the seconds already spent on each trial."""
-        while self.trials and self.it < self.opts.max_iters:
+        while self.trials and self.it < _MAX_ITERS:
             self.it += 1
             tick = time.perf_counter()
             charged = list(self.trials)
@@ -776,7 +765,7 @@ class _Lockstep:
     def test_exits(self):
         """The residuals, best iterates and the log of this iteration; end the
         trials that reach the optimum or carry a Farkas ray."""
-        st, lay, opts = self.st, self.lay, self.opts
+        st, lay = self.st, self.lay
         u, y, z = self.u, self.y, self.z
         aty = _mv(st.a_t, y)
         r_p = st.b - _mv(st.a, u)
@@ -802,20 +791,20 @@ class _Lockstep:
             # gap and complementarity are tested in scaled space, where the
             # equilibration makes optimal values O(1) and the test truly relative
             obj_scale_s = max(abs(pobj_s[r]), abs(dobj_s[r]), 1e-300)
-            relgap_s = abs(pobj_s[r] - dobj_s[r]) / max(obj_scale_s, opts.abs_tol / opts.rel_tol)
-            mu_rel = mu_r / max(obj_scale_s, opts.abs_tol / opts.rel_tol)
-            mu_target = opts.rel_tol * _MU_FACTOR
-            gap_ok = relgap_s <= opts.rel_tol
+            relgap_s = abs(pobj_s[r] - dobj_s[r]) / max(obj_scale_s, _ABS_TOL / _REL_TOL)
+            mu_rel = mu_r / max(obj_scale_s, _ABS_TOL / _REL_TOL)
+            mu_target = _REL_TOL * _MU_FACTOR
+            gap_ok = relgap_s <= _REL_TOL
             mu_ok = mu_rel <= mu_target
 
-            merit = max(relp, reld, relgap_s, mu_rel * opts.rel_tol / mu_target)
+            merit = max(relp, reld, relgap_s, mu_rel * _REL_TOL / mu_target)
             if self.best[t] is None or merit < self.best[t][0]:
                 # the duality-gap floor is dominated by ||y||*||r_p|| rounding, a
                 # pessimistic bound on objective accuracy; a stalled iterate that
                 # is feasible and deeply complementary is still accepted
                 relaxed = (
-                    relp <= opts.rel_tol and reld <= opts.rel_tol
-                    and relgap_s <= 500 * opts.rel_tol and mu_rel <= 50 * mu_target
+                    relp <= _REL_TOL and reld <= _REL_TOL
+                    and relgap_s <= 500 * _REL_TOL and mu_rel <= 50 * mu_target
                 )
                 self.best[t] = (merit, u[r].copy(), y[r].copy(), z[r].copy(), relaxed)
 
@@ -825,7 +814,7 @@ class _Lockstep:
                 "alpha_p": 0.0, "alpha_d": 0.0,
             })
 
-            if relp <= opts.rel_tol and reld <= opts.rel_tol and gap_ok and mu_ok:
+            if relp <= _REL_TOL and reld <= _REL_TOL and gap_ok and mu_ok:
                 ends[r] = "optimal"
             else:
                 rows.append(r)

@@ -150,7 +150,6 @@ def allocation_to_blocks(alloc, vmap):
 
 def kkt_residuals(problem, report):
     """(stationarity, primal feasibility, dual feasibility, complementarity) norms."""
-    problem.validate()
     mult = report.multipliers
     signs = np.array([1.0 if con.sense == ">=" else -1.0 for con in problem.constraints])
 
@@ -188,6 +187,25 @@ def kkt_residuals(problem, report):
     if problem.orthant_dim:
         comp += abs(float(report.primal.orthant @ report.orthant_dual))
     return stat, pfeas, dfeas, comp
+
+
+def downlink_duality_optimum(chan, cfg, max_rounds=10_000):
+    """Least transmit power of a DL-only drop (J = 0, M = 0) by uplink-downlink
+    duality: the fixed point
+    lambda_k = 1 / ((1 + 1/gamma_k) h_k^H (alpha I + sum_i lambda_i h_i h_i^H)^-1 h_k)
+    gives the optimum sum_k lambda_k sigma_k^2. The iteration is a standard
+    interference function, so it rises monotonically to the fixed point from 0.
+    """
+    h, gamma = chan.h, cfg.dl_sinr_targets
+    lam = np.zeros(len(h))
+    for _ in range(max_rounds):
+        cov = cfg.alpha * np.eye(h.shape[1]) + (h.T * lam) @ h.conj()
+        gains = np.einsum("kn,nk->k", h.conj(), np.linalg.solve(cov, h.T)).real
+        new = 1.0 / ((1.0 + 1.0 / gamma) * gains)
+        if np.abs(new - lam).max() <= 1e-15 * new.max():
+            return float(new @ chan.sigma2_dl)
+        lam = new
+    raise RuntimeError("duality fixed point did not converge")
 
 
 # ---------------------------------------------------------------------------

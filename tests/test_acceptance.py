@@ -24,7 +24,7 @@ from fdsec.harness import (
 )
 from fdsec.problem import ConicProblem, build_optimal_problem
 from fdsec.receivers import zf_receivers
-from fdsec.solver import SolverOptions, solve
+from fdsec.solver import solve
 
 # scenario used for scheme-comparison experiments: every scheme stays
 # feasible across the whole target grid, so common-feasible averaging has
@@ -329,12 +329,11 @@ class TestCriterion7HdInfeasibility:
 class TestCriterion8SolverSuite:
     def test_diagonal_oracle(self):
         rng = np.random.default_rng(777)
-        tight = SolverOptions(rel_tol=1e-9, abs_tol=1e-11)
         worst = 0.0
         for _ in range(50):
             prob, (c, rows, senses, consts) = random_diagonal_instance(rng)
             oracle = enumerate_lp_optimum(c, rows, senses, consts)
-            rep = solve(prob, tight)
+            rep = solve(prob)
             if not np.isfinite(oracle):
                 assert rep.status == "primal_infeasible"
                 continue

@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import allocation_to_blocks, constraint_value, rows
 
+from fdsec import solver
 from fdsec.certificates import (
     CertificateUnavailableError,
     NotPsdError,
@@ -19,18 +20,18 @@ from fdsec.problem import (
     recover_allocation,
 )
 from fdsec.receivers import zf_receivers
-from fdsec.solver import SolverOptions, SolverReport, solve
+from fdsec.solver import SolverReport, solve
 
 
 def random_complex(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def solved_instance(cfg, seed, opts=None):
+def solved_instance(cfg, seed):
     _, chan = realize(cfg, seed)
     rec = zf_receivers(chan.g)
     prob, vmap = build_optimal_problem(chan, cfg, rec)
-    rep = solve(prob, opts)
+    rep = solve(prob)
     return chan, rec, prob, vmap, rep
 
 
@@ -87,9 +88,10 @@ class TestDegenerateClosedForm:
         align = abs(np.vdot(w, h)) / (np.linalg.norm(w) * np.linalg.norm(h))
         assert align == pytest.approx(1.0, abs=1e-5)
 
-    def test_requires_optimal_status(self):
+    def test_requires_optimal_status(self, monkeypatch):
+        monkeypatch.setattr(solver, "_MAX_ITERS", 1)
         cfg = SystemConfig(n_antennas=4, n_dl=1, n_ul=0, n_idle=0)
-        chan, rec, prob, vmap, rep = solved_instance(cfg, 0, SolverOptions(max_iters=1))
+        chan, rec, prob, vmap, rep = solved_instance(cfg, 0)
         if rep.status != "optimal":
             with pytest.raises(CertificateUnavailableError):
                 dual_certificate(rep, chan, cfg, rec, vmap)

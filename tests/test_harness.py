@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+import oracles
 
 from fdsec.certificates import rebalance_powers
 from fdsec.channel import SystemConfig, realize
@@ -128,6 +129,25 @@ class TestRunTrial:
             elif r.status == "optimal" and r.scheme == "optimal":
                 assert checks.check_instance(evaluate_instance(cfg, seed, r.scheme)) == []
         write_trials_csv(os.devnull, results, cfg)  # raises on a column not in the header
+
+
+class TestDualityOracle:
+    # with no UL and no idle user the problem is classic DL QoS beamforming,
+    # whose SDP relaxation is tight: every scheme's optimum is the duality one
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(dims=st.integers(2, 8).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))),
+           gamma_db=st.floats(0.0, 18.0), seed=st.integers(0, 2**16),
+           scheme=st.sampled_from(("optimal", "baseline1", "baseline2")))
+    @example(dims=(8, 8), gamma_db=12.0, seed=0, scheme="optimal")   # K = N
+    @example(dims=(4, 1), gamma_db=12.0, seed=0, scheme="baseline1")  # K = 1
+    def test_pipeline_matches_duality_optimum(self, dims, gamma_db, seed, scheme):
+        n, k = dims
+        cfg = SystemConfig(n_antennas=n, n_dl=k, n_ul=0, n_idle=0,
+                           gamma_dl_req_default_db=gamma_db)
+        oracle = oracles.downlink_duality_optimum(realize(cfg, seed)[1], cfg)
+        r = run_trial(cfg, seed, scheme)
+        assert r.status == "optimal"
+        assert r.objective_w == pytest.approx(oracle, rel=1e-7)
 
 
 class TestPolish:
@@ -276,9 +296,10 @@ class TestParallelism:
             with pytest.raises(ValueError):
                 run_trials(SMALL, [0], ("optimal",), jobs=jobs)
             for command in (["trial"], ["sweep", "--sweep", "gamma_dl", "--values", "6"]):
-                with pytest.raises(SystemExit):
-                    build_parser().parse_args(command + ["--jobs", str(jobs)])
-                assert "--jobs" in capsys.readouterr().err
+                for flag in ("--jobs", "--trials"):
+                    with pytest.raises(SystemExit):
+                        build_parser().parse_args(command + [flag, str(jobs)])
+                    assert flag in capsys.readouterr().err
         assert multiprocessing.active_children() == []
 
 

@@ -9,10 +9,13 @@ import oracles
 from oracles import allocation_to_blocks
 
 from fdsec.channel import SystemConfig, realize
+from fdsec.harness import evaluate_instance
 from fdsec.linalg import eigvals_herm
 from fdsec.metrics import Allocation, evaluate_qos, objective
 from fdsec.problem import (
     BlockValues,
+    ConicProblem,
+    LinearConstraint,
     _embed_real,
     _unembed_hermitian,
     an_direction,
@@ -81,6 +84,62 @@ class TestCounting:
         other = SystemConfig(n_antennas=4, n_dl=2, n_ul=1, n_idle=1)
         with pytest.raises(ValueError):
             build_optimal_problem(chan, other, rec)
+
+
+def one_row_program(row=(), **fields):
+    """A valid program of one 2x2 PSD block, one orthant variable and one
+    row, with ``fields`` replaced and the row's fields replaced by ``row``."""
+    con = dict(psd_coeffs={0: np.eye(2)}, orthant_coeffs=np.ones(1), constant=1.0,
+               sense=">=", label="r")
+    con.update(row)
+    program = dict(psd_dims=(2,), orthant_dim=1, objective_psd=(np.eye(2),),
+                   objective_orthant=np.ones(1), constraints=(LinearConstraint(**con),))
+    program.update(fields)
+    return ConicProblem(**program)
+
+
+# one program per clause of the construction check; an objective outside the
+# dual cone (indefinite block, negative weight) could make a program unbounded
+REJECTED = {
+    "odd_dimension": (dict(psd_dims=(3,)), "positive and even"),
+    "zero_dimension": (dict(psd_dims=(0,)), "positive and even"),
+    "objective_block_count": (dict(objective_psd=()), "every PSD block"),
+    "objective_block_shape": (dict(objective_psd=(np.eye(3),)), "wrong shape"),
+    "non_finite_objective": (dict(objective_psd=(np.diag([1.0, np.nan]),)), "finite"),
+    "indefinite_objective": (dict(objective_psd=(np.diag([1.0, -1.0]),)),
+                             "positive semidefinite"),
+    "negative_orthant_weight": (dict(objective_orthant=-np.ones(1)), "nonnegative"),
+    "orthant_objective_length": (dict(objective_orthant=np.ones(2)), "wrong length"),
+    "unknown_sense": (dict(row=dict(sense="==")), "unknown sense"),
+    "orthant_coefficient_length": (dict(row=dict(orthant_coeffs=np.ones(2))),
+                                   "length mismatch"),
+    "undeclared_block": (dict(row=dict(psd_coeffs={1: np.eye(2)})), "undeclared block"),
+    "coefficient_shape": (dict(row=dict(psd_coeffs={0: np.eye(4)})), "shape mismatch"),
+    "non_finite_constant": (dict(row=dict(constant=np.inf)), "non-finite constant"),
+}
+
+
+class TestConstruction:
+    def test_valid_program_builds(self):
+        assert one_row_program().psd_dims == (2,)
+
+    @pytest.mark.parametrize("clause", list(REJECTED))
+    def test_rejected(self, clause):
+        fields, match = REJECTED[clause]
+        with pytest.raises(ValueError, match=match):
+            one_row_program(**fields)
+
+    def test_trial_checks_its_problem_once(self, monkeypatch):
+        calls = []
+        check = ConicProblem.__post_init__
+
+        def counted(problem):
+            calls.append(problem)
+            check(problem)
+
+        monkeypatch.setattr(ConicProblem, "__post_init__", counted)
+        evaluate_instance(SystemConfig(), 0, "optimal")
+        assert len(calls) == 1
 
 
 def embedded_activity(prob, values):

@@ -14,7 +14,7 @@ mean bit-equal reports. ``paper-optimal`` and ``paper-hd`` run one
 ``harness.evaluate_instance`` per trial, as the benchmark does.
 ``gamma-sweep`` runs each seed's four gamma values of one scheme as one
 ``harness.evaluate_batch`` call, the lockstep batch a sweep of that seed
-makes; a tree without that function runs them one by one.
+makes.
 
 ``--tree DIR`` takes the program and the checks from another checkout.
 ``--diff OLD NEW`` runs the census in both trees at once (one process
@@ -53,7 +53,6 @@ def census(tree, seeds, names):
 
     import fdsec.harness as harness
 
-    batch = getattr(harness, "evaluate_batch", None)
     for name in names:
         wl = workloads.WORKLOADS[name]
         for seed in range(seeds):
@@ -61,8 +60,8 @@ def census(tree, seeds, names):
             for cfg, scheme in wl.tasks():
                 by_scheme.setdefault(scheme, []).append((cfg, seed, scheme))
             for tasks in by_scheme.values():
-                if wl.sweep and batch is not None:
-                    insts = batch(tasks)
+                if wl.sweep:
+                    insts = harness.evaluate_batch(tasks)
                 else:
                     insts = [harness.evaluate_instance(*task) for task in tasks]
                 for inst in insts:
