@@ -8,8 +8,8 @@ from types import SimpleNamespace
 
 from .channel import SystemConfig
 from .harness import (
-    SCHEMES,
     SweepSpec,
+    check_schemes,
     load_config,
     run_trials,
     summarize,
@@ -73,9 +73,10 @@ def _load_cfg(path):
 
 def _schemes(arg):
     schemes = tuple(s.strip() for s in arg.split(",") if s.strip())
-    for s in schemes:
-        if s not in SCHEMES:
-            raise SystemExit(f"unknown scheme {s!r}; choose from {SCHEMES}")
+    try:
+        check_schemes(schemes)
+    except ValueError as err:
+        raise SystemExit(f"--scheme {arg!r}: {err}") from None
     return schemes
 
 

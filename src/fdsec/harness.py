@@ -17,7 +17,6 @@ The half-duplex probe records a feasibility verdict only.
 """
 
 import csv
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass, field, fields, replace
 from itertools import product
 from types import SimpleNamespace
@@ -101,9 +100,7 @@ class SweepSpec:
             raise ValueError("sweep needs a nonempty value list")
         if self.trials < 1:
             raise ValueError("need at least one trial per point")
-        for s in self.schemes:
-            if s not in SCHEMES:
-                raise ValueError(f"unknown scheme {s!r}")
+        check_schemes(self.schemes)
         _check_jobs(self.jobs)
 
     def config_for(self, value):
@@ -232,6 +229,17 @@ def _tasks(cfg, seeds, schemes):
     return sorted(tasks, key=lambda t: t[1:3])
 
 
+def check_schemes(schemes):
+    """At least one scheme, each known and none twice (it would run twice)."""
+    if not schemes:
+        raise ValueError("need at least one scheme")
+    for s in schemes:
+        if s not in SCHEMES:
+            raise ValueError(f"unknown scheme {s!r}; choose from {SCHEMES}")
+    if len(set(schemes)) < len(schemes):
+        raise ValueError(f"scheme list {tuple(schemes)} repeats a scheme")
+
+
 def _check_jobs(jobs):
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
@@ -261,6 +269,8 @@ def _run_tasks(tasks, jobs):
     batches = _batches(tasks, jobs)
     work = [[tasks[i] for i in batch] for batch in batches]
     if jobs > 1 and len(work) > 1:
+        # imported on first use: serial trials never load the pool
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=min(jobs, len(work))) as pool:
             done = list(pool.map(_run_batch, work))
     else:
@@ -274,6 +284,7 @@ def _run_tasks(tasks, jobs):
 
 def run_trials(cfg, seeds, schemes, jobs=1):
     """All (seed, scheme) combinations, optionally in parallel, seed-ordered."""
+    check_schemes(schemes)
     _check_jobs(jobs)
     return _run_tasks(_tasks(cfg, seeds, schemes), jobs)
 

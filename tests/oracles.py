@@ -189,23 +189,42 @@ def kkt_residuals(problem, report):
     return stat, pfeas, dfeas, comp
 
 
-def downlink_duality_optimum(chan, cfg, max_rounds=10_000):
-    """Least transmit power of a DL-only drop (J = 0, M = 0) by uplink-downlink
-    duality: the fixed point
-    lambda_k = 1 / ((1 + 1/gamma_k) h_k^H (alpha I + sum_i lambda_i h_i h_i^H)^-1 h_k)
-    gives the optimum sum_k lambda_k sigma_k^2. The iteration is a standard
-    interference function, so it rises monotonically to the fixed point from 0.
+def _duality_cov(h, lam, alpha):
+    """alpha I + sum_i lambda_i h_i h_i^H over the DL channel rows h_i."""
+    return alpha * np.eye(h.shape[1]) + (h.T * lam) @ h.conj()
+
+
+def downlink_duality_multipliers(chan, cfg, max_rounds=10_000):
+    """The uplink-downlink duality fixed point of a DL-only drop (J = 0, M = 0):
+    lambda_k = 1 / ((1 + 1/gamma_k) h_k^H (alpha I + sum_i lambda_i h_i h_i^H)^-1 h_k).
+    The iteration is a standard interference function, so it rises
+    monotonically to the fixed point from 0.
     """
     h, gamma = chan.h, cfg.dl_sinr_targets
     lam = np.zeros(len(h))
     for _ in range(max_rounds):
-        cov = cfg.alpha * np.eye(h.shape[1]) + (h.T * lam) @ h.conj()
+        cov = _duality_cov(h, lam, cfg.alpha)
         gains = np.einsum("kn,nk->k", h.conj(), np.linalg.solve(cov, h.T)).real
         new = 1.0 / ((1.0 + 1.0 / gamma) * gains)
         if np.abs(new - lam).max() <= 1e-15 * new.max():
-            return float(new @ chan.sigma2_dl)
+            return new
         lam = new
     raise RuntimeError("duality fixed point did not converge")
+
+
+def downlink_duality_optimum(chan, cfg):
+    """Least transmit power of a DL-only drop by uplink-downlink duality:
+    sum_k lambda_k sigma_k^2 at the fixed point."""
+    return float(downlink_duality_multipliers(chan, cfg) @ chan.sigma2_dl)
+
+
+def downlink_duality_directions(chan, cfg):
+    """Row k is (alpha I + sum_i lambda_i h_i h_i^H)^-1 h_k at the fixed point:
+    the dual UL MMSE filter, which is user k's optimal DL beam up to scale
+    (the beam w_k serves it with gain |h_k^H w_k|^2)."""
+    h = chan.h
+    lam = downlink_duality_multipliers(chan, cfg)
+    return np.linalg.solve(_duality_cov(h, lam, cfg.alpha), h.T).T
 
 
 # ---------------------------------------------------------------------------

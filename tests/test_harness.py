@@ -14,7 +14,7 @@ import oracles
 
 from fdsec.certificates import rebalance_powers
 from fdsec.channel import SystemConfig, realize
-from fdsec.cli import build_parser
+from fdsec.cli import build_parser, main
 from fdsec.harness import (
     BATCH_TRIALS,
     SCHEMES,
@@ -144,10 +144,15 @@ class TestDualityOracle:
         n, k = dims
         cfg = SystemConfig(n_antennas=n, n_dl=k, n_ul=0, n_idle=0,
                            gamma_dl_req_default_db=gamma_db)
-        oracle = oracles.downlink_duality_optimum(realize(cfg, seed)[1], cfg)
-        r = run_trial(cfg, seed, scheme)
-        assert r.status == "optimal"
-        assert r.objective_w == pytest.approx(oracle, rel=1e-7)
+        chan = realize(cfg, seed)[1]
+        inst = evaluate_instance(cfg, seed, scheme)  # run_trial's objective_w is inst.qos.objective
+        assert inst.report.status == "optimal"
+        assert inst.qos.objective == pytest.approx(oracles.downlink_duality_optimum(chan, cfg),
+                                                   rel=1e-7)
+        # each kept beam points along its dual UL MMSE filter
+        for w, d in zip(inst.alloc.W, oracles.downlink_duality_directions(chan, cfg)):
+            u = np.linalg.eigh(w)[1][:, -1]
+            assert 1.0 - abs(np.vdot(u, d)) / np.linalg.norm(d) <= 1e-7
 
 
 class TestPolish:
@@ -311,8 +316,11 @@ class TestSweep:
             SweepSpec(parameter="n_antennas", values=())
         with pytest.raises(ValueError):
             SweepSpec(parameter="n_antennas", values=(6,), trials=0)
-        with pytest.raises(ValueError):
-            SweepSpec(parameter="n_antennas", values=(6,), schemes=("zf",))
+        for schemes in (("zf",), (), ("optimal", "optimal")):
+            with pytest.raises(ValueError):
+                SweepSpec(parameter="n_antennas", values=(6,), schemes=schemes)
+            with pytest.raises(ValueError):
+                run_trials(SMALL, [0], schemes)
 
     def test_small_sweep(self, tmp_path):
         spec = SweepSpec(
@@ -466,14 +474,20 @@ class TestFiles:
 
 class TestImports:
     def test_import_leaves_optimize_and_special_unloaded(self):
-        # the power polish loads scipy.optimize and summarize scipy.special
-        # on first use, so a process that runs neither does not load them
+        # the power polish loads scipy.optimize, summarize scipy.special and a
+        # sweep with jobs > 1 the process pool, each on first use; the Schur
+        # factor comes from scipy's compiled _flapack without the scipy.linalg
+        # package, as the very routines scipy.linalg.lapack exports
         code = ("import sys, fdsec\n"
-                "print([m for m in ('scipy.optimize', 'scipy.special') if m in sys.modules])")
+                "fdsec.run_trial(fdsec.SystemConfig(), 0, 'hd')\n"
+                "print([m for m in ('scipy.optimize', 'scipy.special', 'scipy.linalg',"
+                " 'concurrent.futures.process') if m in sys.modules])\n"
+                "import scipy.linalg.lapack as lapack\n"
+                "print(fdsec.solver.dpotrf is lapack.dpotrf, fdsec.solver.dpotrs is lapack.dpotrs)")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               timeout=600)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        assert proc.stdout.splitlines() == ["[]", "True True"]
 
 
 class TestCli:
@@ -492,6 +506,10 @@ class TestCli:
         assert (tmp_path / "trials.csv").exists()
         assert (tmp_path / "summary.txt").exists()
         assert "status=optimal" in proc.stdout
+        for arg, problem in ((",", "at least one scheme"), ("optimal,optimal", "repeats")):
+            with pytest.raises(SystemExit, match=problem):
+                main(["trial", "--scheme", arg, "--out", str(tmp_path / "bad")])
+        assert not (tmp_path / "bad").exists()
 
     def test_sweep_and_summarize(self, tmp_path):
         cfg = tmp_path / "cfg.txt"
@@ -500,6 +518,11 @@ class TestCli:
                             "--values", "6,9", "--trials", "2", "--scheme", "optimal",
                             "--seed", "0", "--jobs", "2", "--out", str(tmp_path))
         assert proc.returncode == 0, proc.stderr
+        for arg, problem in ((",", "at least one scheme"), ("optimal,optimal", "repeats")):
+            with pytest.raises(SystemExit, match=problem):
+                main(["sweep", "--sweep", "gamma_dl", "--values", "6", "--trials", "1",
+                      "--scheme", arg, "--out", str(tmp_path / "bad")])
+        assert not (tmp_path / "bad").exists()
         for name in ("trials.csv", "sweep.csv", "sweep.dat", "summary.txt"):
             assert (tmp_path / name).exists()
         written = (tmp_path / "summary.txt").read_bytes()
