@@ -9,11 +9,12 @@ dual structure from the reported multipliers and verifies it numerically.
 """
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
 
-from .linalg import eigvals_herm, herm_eig
+from .linalg import eigvals_herm, herm_eig, scipy_extension
 from .metrics import Allocation, link_model, objective, quad_forms, quad_table
 from .problem import recover_allocation, recover_duals
 
@@ -21,6 +22,11 @@ RANK_TOL = 1e-6
 # allowance on the eavesdropper-cap rows, per cap noise, that the power
 # polish settles for when no point along its directions holds every cap
 CAP_TOL_FALLBACK = 1e-7
+# scipy.optimize.linprog's status for each HiGHS model status (4, numerical
+# trouble, for the rest): 0 solved, 1 limit reached, 2 infeasible, 3 unbounded
+_LINPROG_STATUS = {"kOptimal": 0, "kTimeLimit": 1, "kIterationLimit": 1, "kInfeasible": 2,
+                   "kModelError": 2, "kUnbounded": 3}
+_LP_TOL = np.sqrt(1e-9) * 10  # linprog's post-solve allowance on x >= 0 and the slacks
 
 
 class NotPsdError(ValueError):
@@ -126,12 +132,61 @@ def _an_patch_matrices(chan, si_vecs):
     return patches
 
 
-def linprog(*args, **kwargs):
-    """scipy.optimize.linprog, imported on the first call: a process that
-    never polishes never loads scipy.optimize."""
-    from scipy.optimize import linprog as highs
+def linprog(cost, a_ub, b_ub):
+    """min cost·x subject to a_ub x <= b_ub and x >= 0, by HiGHS's dual simplex.
 
-    return highs(*args, **kwargs)
+    Calls scipy's compiled HiGHS binding, ``scipy.optimize._highspy._core``,
+    loaded on the first call without the scipy.optimize package. It hands
+    HiGHS exactly the model and options that ``scipy.optimize.linprog(cost,
+    A_ub=a_ub, b_ub=b_ub, method="highs", options={"primal_feasibility_tolerance":
+    1e-10})`` does (column-wise, exact zeros dropped, rows ascending) and
+    keeps its input and post-solve checks, so ``status`` and ``x`` are
+    linprog's: status 0 is a solved, checked LP, and x is None unless HiGHS
+    found an optimum.
+    """
+    if not (np.isfinite(cost).all() and np.isfinite(a_ub).all() and np.isfinite(b_ub).all()):
+        raise ValueError("linprog inputs must be finite")
+    h = scipy_extension("scipy.optimize._highspy._core")
+    n_rows, n_cols = a_ub.shape
+    lp = h.HighsLp()
+    lp.num_row_ = lp.a_matrix_.num_row_ = n_rows
+    lp.num_col_ = lp.a_matrix_.num_col_ = n_cols
+    lp.a_matrix_.format_ = h.MatrixFormat.kColwise
+    cols, rows = np.nonzero(a_ub.T)
+    lp.a_matrix_.start_ = np.concatenate([[0], np.cumsum(np.count_nonzero(a_ub, axis=0))])
+    lp.a_matrix_.index_ = rows
+    lp.a_matrix_.value_ = a_ub.T[cols, rows]
+    lp.col_cost_ = cost
+    lp.col_lower_ = np.zeros(n_cols)
+    lp.col_upper_ = np.full(n_cols, h.kHighsInf)
+    lp.row_lower_ = np.full(n_rows, -h.kHighsInf)
+    lp.row_upper_ = b_ub
+    options = h.HighsOptions()
+    options.presolve = "on"
+    options.highs_debug_level = 0
+    options.log_to_console = options.output_flag = False
+    options.primal_feasibility_tolerance = 1e-10
+    options.simplex_strategy = 1  # dual
+    highs = h._Highs()
+    highs.passOptions(options)
+    highs.passModel(lp)
+    highs.run()
+    model_status = highs.getModelStatus()
+    if model_status != h.HighsModelStatus.kOptimal:
+        return SimpleNamespace(status=_LINPROG_STATUS.get(model_status.name, 4), x=None)
+    solution = highs.getSolution()
+    x = np.array(solution.col_value)
+    return SimpleNamespace(x=x, status=_checked_status(
+        x, highs.getInfo().objective_function_value, b_ub - solution.row_value))
+
+
+def _checked_status(x, fun, slack):
+    """linprog's post-solve check of an optimum HiGHS reports: 0 when it
+    holds no NaN, x >= -_LP_TOL and every slack b_ub - a_ub x >= -_LP_TOL,
+    else 4."""
+    failed = (np.isnan(x).any() or np.isnan(fun) or np.isnan(slack).any()
+              or (x < -_LP_TOL).any() or (slack < -_LP_TOL).any())
+    return 4 if failed else 0
 
 
 def rebalance_powers(alloc, chan, cfg, scheme):
@@ -180,8 +235,7 @@ def rebalance_powers(alloc, chan, cfg, scheme):
                            np.full(len(cols), cfg.alpha)])  # the columns are unit trace
     for allowance in (0.0, CAP_TOL_FALLBACK):
         b_ub = np.concatenate([np.full(links, -1.0), np.full(a_eve.shape[0], 1.0 + allowance)])
-        res = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=(0.0, None), method="highs",
-                      options={"primal_feasibility_tolerance": 1e-10})
+        res = linprog(cost, a_ub, b_ub)
         if res.status == 0:
             break
     else:

@@ -2,13 +2,36 @@
 
 All matrices are small (N <= ~16 complex), so everything is dense. The
 eigendecompositions and the pseudoinverse are LAPACK's, through
-``numpy.linalg``, on the complex matrices.
+``numpy.linalg``, on the complex matrices. ``scipy_extension`` loads one
+of scipy's compiled extensions (the solver's LAPACK wrappers, the polish's
+HiGHS) without the scipy package around it.
 """
 
+import os
+import sys
+from functools import cache
+from importlib.machinery import PathFinder
+from importlib.util import module_from_spec
+
 import numpy as np
+import scipy
 
 HERMITIAN_ATOL = 1e-12
 COND_LIMIT = 1e12
+
+
+@cache
+def scipy_extension(name):
+    """scipy's compiled extension module ``name`` (a dotted name such as
+    ``"scipy.linalg._flapack"``), loaded without the scipy packages around
+    it; when scipy has loaded it already, that very module."""
+    module = sys.modules.get(name)
+    if module is None:
+        spec = PathFinder.find_spec(name, [os.path.join(p, *name.split(".")[1:-1])
+                                           for p in scipy.__path__])
+        module = module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return module
 
 
 def check_hermitian(h):

@@ -30,36 +30,20 @@ refinement and all scalar tests stay per trial.
 """
 
 import logging
-import os
-import sys
 import time
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from importlib.machinery import PathFinder
-from importlib.util import module_from_spec
 
 import numpy as np
-import scipy
 
+from .linalg import scipy_extension
 from .problem import BlockValues
 
 logger = logging.getLogger(__name__)
 
-
-def _schur_lapack():
-    """``dpotrf`` and ``dpotrs`` of scipy's compiled LAPACK wrappers,
-    ``scipy.linalg._flapack`` (the module ``scipy.linalg.lapack``
-    re-exports), loaded without the scipy.linalg package around them."""
-    name = "scipy.linalg._flapack"
-    module = sys.modules.get(name)
-    if module is None:
-        spec = PathFinder.find_spec(name, [os.path.join(p, "linalg") for p in scipy.__path__])
-        module = module_from_spec(spec)
-        spec.loader.exec_module(module)
-    return module.dpotrf, module.dpotrs
-
-
-dpotrf, dpotrs = _schur_lapack()
+# scipy's compiled LAPACK wrappers, the module scipy.linalg.lapack re-exports
+_flapack = scipy_extension("scipy.linalg._flapack")
+dpotrf, dpotrs = _flapack.dpotrf, _flapack.dpotrs
 
 _FTB = 0.99          # fraction-to-boundary step factor
 _MAX_HALVINGS = 12   # step fallback on factorization failure

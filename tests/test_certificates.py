@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import allocation_to_blocks, constraint_value, rows
 
-from fdsec import solver
+from fdsec import certificates, solver
 from fdsec.certificates import (
     CertificateUnavailableError,
     NotPsdError,
@@ -13,6 +13,7 @@ from fdsec.certificates import (
     rebalance_powers,
 )
 from fdsec.channel import SystemConfig, realize
+from fdsec.harness import evaluate_instance
 from fdsec.metrics import Allocation, evaluate_qos
 from fdsec.problem import (
     build_baseline_problem,
@@ -233,3 +234,63 @@ class TestRebalancePowers:
         assert polished is not None
         # allocation_to_blocks raises if V left the baseline direction
         assert_pinned_and_capped(prob, vmap, chan, cfg, polished)
+
+
+SWEEP_12DB = SystemConfig(n_antennas=6, n_dl=2, n_ul=2, n_idle=1, gamma_dl_req_default_db=12.0)
+
+
+class TestLinprog:
+    # fdsec's direct HiGHS call must be scipy.optimize.linprog's solve, bit
+    # for bit, on the polish LPs of sweep-scenario trials of every scheme;
+    # seed 12's baseline2 LP has no exact point, so the CAP_TOL_FALLBACK pass runs
+    def test_polish_lps_match_scipy_linprog(self, monkeypatch):
+        from scipy.optimize import linprog as scipy_linprog
+
+        lps, ours = [], certificates.linprog
+
+        def record(cost, a_ub, b_ub):
+            lps.append((cost, a_ub, b_ub))
+            return ours(cost, a_ub, b_ub)
+
+        monkeypatch.setattr(certificates, "linprog", record)
+        trials = [(seed, scheme) for seed in range(3)
+                  for scheme in ("optimal", "baseline1", "baseline2")] + [(12, "baseline2")]
+        for seed, scheme in trials:
+            assert evaluate_instance(SWEEP_12DB, seed, scheme).report.status == "optimal"
+        assert len(lps) == 11  # one LP per trial, two for the fallback trial
+        statuses = []
+        for cost, a_ub, b_ub in lps:
+            res = ours(cost, a_ub, b_ub)
+            ref = scipy_linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=(0.0, None), method="highs",
+                                options={"primal_feasibility_tolerance": 1e-10})
+            assert res.status == ref.status
+            assert (res.x is None) == (ref.x is None)
+            assert res.x is None or np.array_equal(res.x, ref.x)
+            statuses.append(res.status)
+        assert statuses.count(2) == 1 and statuses.count(0) == 10
+
+    def test_post_solve_check_matches_linprog(self):
+        from scipy.optimize._linprog_util import _check_result
+
+        tol = certificates._LP_TOL
+        x, slack = np.array([0.0, 2.0]), np.array([1.0, 0.0])
+        cases = {
+            "optimum": (x, 1.0, slack, 0),
+            "x within tol of 0": (np.array([-0.99 * tol, 2.0]), 1.0, slack, 0),
+            "slack within tol": (x, 1.0, np.array([1.0, -0.99 * tol]), 0),
+            "nan in x": (np.array([np.nan, 2.0]), 1.0, slack, 4),
+            "nan objective": (x, np.nan, slack, 4),
+            "nan in slack": (x, 1.0, np.array([np.nan, 0.0]), 4),
+            "x below 0 by more than tol": (np.array([-1.01 * tol, 2.0]), 1.0, slack, 4),
+            "slack below -tol": (x, 1.0, np.array([1.0, -1.01 * tol]), 4),
+        }
+        bounds = np.array([[0.0, np.inf]] * 2)
+        for name, (xs, fun, sl, expected) in cases.items():
+            assert certificates._checked_status(xs, fun, sl) == expected, name
+            ref, _ = _check_result(xs, fun, 0, sl, np.empty(0), bounds, 1e-9, "", None)
+            assert ref == expected, name
+
+    def test_rejects_non_finite_input(self):
+        a_ub = np.array([[1.0, np.inf]])
+        with pytest.raises(ValueError, match="finite"):
+            certificates.linprog(np.ones(2), a_ub, np.ones(1))

@@ -474,20 +474,38 @@ class TestFiles:
 
 class TestImports:
     def test_import_leaves_optimize_and_special_unloaded(self):
-        # the power polish loads scipy.optimize, summarize scipy.special and a
-        # sweep with jobs > 1 the process pool, each on first use; the Schur
-        # factor comes from scipy's compiled _flapack without the scipy.linalg
-        # package, as the very routines scipy.linalg.lapack exports
+        # summarize loads scipy.special and a sweep with jobs > 1 the process
+        # pool, each on first use; the Schur factor comes from scipy's compiled
+        # _flapack without the scipy.linalg package, and the power polish calls
+        # scipy's compiled HiGHS, _highspy._core, without scipy.optimize: each
+        # is the very module scipy's own packages load later
         code = ("import sys, fdsec\n"
+                "unloaded = ('scipy.optimize', 'scipy.special', 'scipy.linalg', 'scipy.sparse',"
+                " 'concurrent.futures.process')\n"
                 "fdsec.run_trial(fdsec.SystemConfig(), 0, 'hd')\n"
-                "print([m for m in ('scipy.optimize', 'scipy.special', 'scipy.linalg',"
-                " 'concurrent.futures.process') if m in sys.modules])\n"
+                "print([m for m in unloaded if m in sys.modules])\n"
+                "r = fdsec.run_trial(fdsec.SystemConfig(), 0, 'optimal')\n"
+                "print(r.status, [m for m in unloaded if m in sys.modules])\n"
                 "import scipy.linalg.lapack as lapack\n"
-                "print(fdsec.solver.dpotrf is lapack.dpotrf, fdsec.solver.dpotrs is lapack.dpotrs)")
+                "print(fdsec.solver.dpotrf is lapack.dpotrf, fdsec.solver.dpotrs is lapack.dpotrs)\n"
+                "import scipy.optimize\n"
+                "print(fdsec.certificates.scipy_extension('scipy.optimize._highspy._core')"
+                " is scipy.optimize._highspy._core)")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               timeout=600)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines() == ["[]", "True True"]
+        assert proc.stdout.splitlines() == ["[]", "optimal []", "True True", "True"]
+
+    def test_polish_reuses_loaded_optimize(self):
+        # the opposite order: scipy.optimize first, then a polishing trial
+        code = ("import scipy.optimize, fdsec\n"
+                "r = fdsec.run_trial(fdsec.SystemConfig(), 0, 'optimal')\n"
+                "print(r.status, fdsec.certificates.scipy_extension("
+                "'scipy.optimize._highspy._core') is scipy.optimize._highspy._core)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=600)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["optimal True"]
 
 
 class TestCli:
