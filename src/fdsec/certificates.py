@@ -9,23 +9,21 @@ dual structure from the reported multipliers and verifies it numerically.
 """
 
 from dataclasses import dataclass
-from types import SimpleNamespace
+from functools import cache
 from typing import Optional
 
 import numpy as np
 
 from .linalg import eigvals_herm, herm_eig, scipy_extension
 from .metrics import Allocation, link_model, objective, quad_forms, quad_table
-from .problem import recover_allocation, recover_duals
+from .problem import recover_duals
 
 RANK_TOL = 1e-6
+# the trials.csv columns of a RankReport, in order
+RANK_CSV_COLUMNS = ("rank_max", "eig_ratio_max", "b_min_eig", "certificate_pass")
 # allowance on the eavesdropper-cap rows, per cap noise, that the power
 # polish settles for when no point along its directions holds every cap
 CAP_TOL_FALLBACK = 1e-7
-# scipy.optimize.linprog's status for each HiGHS model status (4, numerical
-# trouble, for the rest): 0 solved, 1 limit reached, 2 infeasible, 3 unbounded
-_LINPROG_STATUS = {"kOptimal": 0, "kTimeLimit": 1, "kIterationLimit": 1, "kInfeasible": 2,
-                   "kModelError": 2, "kUnbounded": 3}
 _LP_TOL = np.sqrt(1e-9) * 10  # linprog's post-solve allowance on x >= 0 and the slacks
 
 
@@ -34,7 +32,7 @@ class NotPsdError(ValueError):
 
 
 class CertificateUnavailableError(RuntimeError):
-    """Solver report lacks the dual values the certificate needs."""
+    """The report is no optimum, or its problem lacks a row the certificate reads."""
 
 
 @dataclass(frozen=True)
@@ -61,12 +59,9 @@ class RankReport:
     certificate_pass: bool
 
     def csv_fields(self):
-        return {
-            "rank_max": int(self.ranks.max(initial=0)),
-            "eig_ratio_max": float(self.eig_ratios.max(initial=0.0)),
-            "b_min_eig": float(self.b_min_eig.min(initial=np.inf)),
-            "certificate_pass": self.certificate_pass,
-        }
+        return dict(zip(RANK_CSV_COLUMNS, (
+            int(self.ranks.max(initial=0)), float(self.eig_ratios.max(initial=0.0)),
+            float(self.b_min_eig.min(initial=np.inf)), self.certificate_pass)))
 
 
 def extract_beamformer(w_mat):
@@ -132,61 +127,57 @@ def _an_patch_matrices(chan, si_vecs):
     return patches
 
 
-def linprog(cost, a_ub, b_ub):
-    """min cost·x subject to a_ub x <= b_ub and x >= 0, by HiGHS's dual simplex.
-
-    Calls scipy's compiled HiGHS binding, ``scipy.optimize._highspy._core``,
-    loaded on the first call without the scipy.optimize package. It hands
-    HiGHS exactly the model and options that ``scipy.optimize.linprog(cost,
-    A_ub=a_ub, b_ub=b_ub, method="highs", options={"primal_feasibility_tolerance":
-    1e-10})`` does (column-wise, exact zeros dropped, rows ascending) and
-    keeps its input and post-solve checks, so ``status`` and ``x`` are
-    linprog's: status 0 is a solved, checked LP, and x is None unless HiGHS
-    found an optimum.
-    """
-    if not (np.isfinite(cost).all() and np.isfinite(a_ub).all() and np.isfinite(b_ub).all()):
-        raise ValueError("linprog inputs must be finite")
+@cache
+def _highs():
+    """scipy's compiled HiGHS binding, loaded on the first polish without the
+    scipy.optimize package, and the options scipy.optimize.linprog passes it."""
     h = scipy_extension("scipy.optimize._highspy._core")
-    n_rows, n_cols = a_ub.shape
-    lp = h.HighsLp()
-    lp.num_row_ = lp.a_matrix_.num_row_ = n_rows
-    lp.num_col_ = lp.a_matrix_.num_col_ = n_cols
-    lp.a_matrix_.format_ = h.MatrixFormat.kColwise
-    cols, rows = np.nonzero(a_ub.T)
-    lp.a_matrix_.start_ = np.concatenate([[0], np.cumsum(np.count_nonzero(a_ub, axis=0))])
-    lp.a_matrix_.index_ = rows
-    lp.a_matrix_.value_ = a_ub.T[cols, rows]
-    lp.col_cost_ = cost
-    lp.col_lower_ = np.zeros(n_cols)
-    lp.col_upper_ = np.full(n_cols, h.kHighsInf)
-    lp.row_lower_ = np.full(n_rows, -h.kHighsInf)
-    lp.row_upper_ = b_ub
     options = h.HighsOptions()
     options.presolve = "on"
     options.highs_debug_level = 0
     options.log_to_console = options.output_flag = False
     options.primal_feasibility_tolerance = 1e-10
     options.simplex_strategy = 1  # dual
+    return h, options
+
+
+def linprog(cost, a_ub, b_ub):
+    """min cost·x subject to a_ub x <= b_ub and x >= 0, by HiGHS's dual simplex.
+
+    Hands a fresh HiGHS instance exactly the model and options that
+    ``scipy.optimize.linprog(cost, A_ub=a_ub, b_ub=b_ub, method="highs",
+    options={"primal_feasibility_tolerance": 1e-10})`` does (column-wise,
+    exact zeros dropped, rows ascending) and keeps its input and post-solve
+    checks. Returns linprog's x when it reports a solved LP, else None.
+    """
+    if not (np.isfinite(cost).all() and np.isfinite(a_ub).all() and np.isfinite(b_ub).all()):
+        raise ValueError("linprog inputs must be finite")
+    n_rows, n_cols = a_ub.shape
+    if np.shape(cost) != (n_cols,) or np.shape(b_ub) != (n_rows,):
+        raise ValueError("linprog needs one cost per column and one bound per row of a_ub")
+    h, options = _highs()
+    cols, rows = np.nonzero(a_ub.T)
+    counts = np.count_nonzero(a_ub, axis=0)
     highs = h._Highs()
     highs.passOptions(options)
-    highs.passModel(lp)
+    highs.passModel(n_cols, n_rows, rows.size, h.MatrixFormat.kColwise, h.ObjSense.kMinimize,
+                    0.0, cost, np.zeros(n_cols), np.full(n_cols, h.kHighsInf),
+                    np.full(n_rows, -h.kHighsInf), b_ub, np.cumsum(counts) - counts, rows,
+                    a_ub.T[cols, rows], np.zeros(n_cols, dtype=np.int32))  # all continuous
     highs.run()
-    model_status = highs.getModelStatus()
-    if model_status != h.HighsModelStatus.kOptimal:
-        return SimpleNamespace(status=_LINPROG_STATUS.get(model_status.name, 4), x=None)
+    if highs.getModelStatus() != h.HighsModelStatus.kOptimal:
+        return None
     solution = highs.getSolution()
     x = np.array(solution.col_value)
-    return SimpleNamespace(x=x, status=_checked_status(
-        x, highs.getInfo().objective_function_value, b_ub - solution.row_value))
+    fun, slack = highs.getInfo().objective_function_value, b_ub - solution.row_value
+    return x if _solution_ok(x, fun, slack) else None
 
 
-def _checked_status(x, fun, slack):
-    """linprog's post-solve check of an optimum HiGHS reports: 0 when it
-    holds no NaN, x >= -_LP_TOL and every slack b_ub - a_ub x >= -_LP_TOL,
-    else 4."""
-    failed = (np.isnan(x).any() or np.isnan(fun) or np.isnan(slack).any()
-              or (x < -_LP_TOL).any() or (slack < -_LP_TOL).any())
-    return 4 if failed else 0
+def _solution_ok(x, fun, slack):
+    """linprog's post-solve check of an optimum HiGHS reports: no NaN,
+    x >= -_LP_TOL and every slack b_ub - a_ub x >= -_LP_TOL."""
+    return not (np.isnan(x).any() or np.isnan(fun) or np.isnan(slack).any()
+                or (x < -_LP_TOL).any() or (slack < -_LP_TOL).any())
 
 
 def rebalance_powers(alloc, chan, cfg, scheme):
@@ -235,13 +226,13 @@ def rebalance_powers(alloc, chan, cfg, scheme):
                            np.full(len(cols), cfg.alpha)])  # the columns are unit trace
     for allowance in (0.0, CAP_TOL_FALLBACK):
         b_ub = np.concatenate([np.full(links, -1.0), np.full(a_eve.shape[0], 1.0 + allowance)])
-        res = linprog(cost, a_ub, b_ub)
-        if res.status == 0:
+        x = linprog(cost, a_ub, b_ub)
+        if x is not None:
             break
     else:
         return None
 
-    x = raw_cost * res.x
+    x = raw_cost * x
     return Allocation(
         W=tuple(p * np.outer(d, d.conj()) for p, d in zip(x[:k_users], directions)),
         V=np.einsum("i,inp->np", x[links:], cols), P=x[k_users:links],
@@ -249,7 +240,7 @@ def rebalance_powers(alloc, chan, cfg, scheme):
     )
 
 
-def dual_certificate(report, chan, cfg, receivers, vmap, alloc=None):
+def dual_certificate(report, chan, cfg, receivers, vmap, alloc):
     """Verify the tightness structure of a solved instance.
 
     Rebuilds each beam matrix's dual block from the multipliers of the
@@ -257,13 +248,11 @@ def dual_certificate(report, chan, cfg, receivers, vmap, alloc=None):
     positive definite, that exactly one eigenvalue (per active user)
     vanishes, complementarity with the primal matrix, a strictly positive
     C1 multiplier, and consistency with the dual block the solver
-    reported. The primal side is ``alloc`` (for example after the power
-    polish), else the solver's own point.
+    reported. The primal side is ``alloc``, the allocation a trial keeps
+    (polished or the solver's own point).
     """
     if report.status != "optimal":
         raise CertificateUnavailableError(f"no certificate for status {report.status!r}")
-    if report.multipliers is None or not len(report.psd_duals):
-        raise CertificateUnavailableError("solver report carries no dual values")
 
     n, k_users, m_users = vmap.n, vmap.k_users, vmap.m_users
     links = [f"C1[{k}]" for k in range(k_users)] + [f"C2[{j}]" for j in range(vmap.j_users)]
@@ -284,8 +273,6 @@ def dual_certificate(report, chan, cfg, receivers, vmap, alloc=None):
             + np.einsum("mk,mnp->knp", lam / cfg.eve_sinr_cap, l_outer))
     y_mats = base - (delta / cfg.dl_sinr_targets)[:, np.newaxis, np.newaxis] * v_outer[:k_users]
 
-    if alloc is None:
-        alloc = recover_allocation(report.primal, vmap, receivers)
     solver_y = recover_duals(report, vmap)
     # C1 tightness: |lhs - rhs| / max(lhs, rhs), lhs = h^H W_k h / gamma_k
     table = quad_table(alloc, model)

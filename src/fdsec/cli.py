@@ -24,12 +24,33 @@ from .harness import (
 SWEEP_PARAMS = {"gamma_dl": "gamma_dl_req_db", "antennas": "n_antennas"}
 
 
-def _positive(text):
-    """argparse type of a count that must be at least 1 (--jobs, --trials)."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _at_least(minimum):
+    """argparse type of an integer that must be at least ``minimum`` (--seed,
+    --jobs, --trials)."""
+    def integer(text):
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+    return integer
+
+
+def _config(path):
+    """argparse type of --config: the SystemConfig of a config file."""
+    try:
+        return load_config(path)
+    except (OSError, ValueError) as err:
+        raise argparse.ArgumentTypeError(f"{path}: {err}") from None
+
+
+def _schemes(text):
+    """argparse type of --scheme: a comma list of known schemes, none twice."""
+    schemes = tuple(s.strip() for s in text.split(",") if s.strip())
+    try:
+        check_schemes(schemes)
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(f"{text!r}: {err}") from None
+    return schemes
 
 
 def build_parser():
@@ -40,23 +61,25 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     trial = sub.add_parser("trial", help="run Monte Carlo trials for one scheme set")
-    trial.add_argument("--config", help="flat key=value config file")
-    trial.add_argument("--seed", type=int, default=0, help="base seed")
-    trial.add_argument("--trials", type=_positive, default=1, help="number of seeds")
-    trial.add_argument("--scheme", default="optimal",
+    trial.add_argument("--config", type=_config, default=SystemConfig(),
+                       help="flat key=value config file")
+    trial.add_argument("--seed", type=_at_least(0), default=0, help="base seed")
+    trial.add_argument("--trials", type=_at_least(1), default=1, help="number of seeds")
+    trial.add_argument("--scheme", type=_schemes, default="optimal",
                        help="comma list from {optimal,baseline1,baseline2,hd}")
-    trial.add_argument("--jobs", type=_positive, default=1)
+    trial.add_argument("--jobs", type=_at_least(1), default=1)
     trial.add_argument("--out", default=".", help="output directory")
 
     swp = sub.add_parser("sweep", help="sweep a parameter and aggregate")
-    swp.add_argument("--config", help="flat key=value config file")
+    swp.add_argument("--config", type=_config, default=SystemConfig(),
+                     help="flat key=value config file")
     swp.add_argument("--sweep", choices=sorted(SWEEP_PARAMS), required=True)
     swp.add_argument("--values", required=True, help="comma-separated sweep values")
-    swp.add_argument("--trials", type=_positive, default=100)
-    swp.add_argument("--scheme", default="optimal,baseline1,baseline2",
+    swp.add_argument("--trials", type=_at_least(1), default=100)
+    swp.add_argument("--scheme", type=_schemes, default="optimal,baseline1,baseline2",
                      help="comma list of schemes to compare")
-    swp.add_argument("--seed", type=int, default=0)
-    swp.add_argument("--jobs", type=_positive, default=1)
+    swp.add_argument("--seed", type=_at_least(0), default=0)
+    swp.add_argument("--jobs", type=_at_least(1), default=1)
     swp.add_argument("--out", default=".", help="output directory")
 
     summ = sub.add_parser("summarize", help="summarize an existing trials.csv")
@@ -67,26 +90,11 @@ def build_parser():
     return parser
 
 
-def _load_cfg(path):
-    return load_config(path) if path else SystemConfig()
-
-
-def _schemes(arg):
-    schemes = tuple(s.strip() for s in arg.split(",") if s.strip())
-    try:
-        check_schemes(schemes)
-    except ValueError as err:
-        raise SystemExit(f"--scheme {arg!r}: {err}") from None
-    return schemes
-
-
 def cmd_trial(args):
-    cfg = _load_cfg(args.config)
-    schemes = _schemes(args.scheme)
     seeds = [args.seed + i for i in range(args.trials)]
-    results = run_trials(cfg, seeds, schemes, jobs=args.jobs)
+    results = run_trials(args.config, seeds, args.scheme, jobs=args.jobs)
     os.makedirs(args.out, exist_ok=True)
-    write_trials_csv(os.path.join(args.out, "trials.csv"), results, cfg)
+    write_trials_csv(os.path.join(args.out, "trials.csv"), results, args.config)
     write_summary(os.path.join(args.out, "summary.txt"), summarize(results))
     for r in results:
         print(f"seed={r.seed} scheme={r.scheme} status={r.status} "
@@ -95,19 +103,9 @@ def cmd_trial(args):
 
 
 def cmd_sweep(args):
-    cfg = _load_cfg(args.config)
-    spec = SweepSpec(
-        parameter=SWEEP_PARAMS[args.sweep],
-        values=tuple(float(v) for v in args.values.split(",")),
-        trials=args.trials,
-        schemes=_schemes(args.scheme),
-        base_config=cfg,
-        base_seed=args.seed,
-        jobs=args.jobs,
-    )
-    points, trials = sweep(spec)
+    points, trials = sweep(args.spec)
     os.makedirs(args.out, exist_ok=True)
-    write_trials_csv(os.path.join(args.out, "trials.csv"), trials, cfg)
+    write_trials_csv(os.path.join(args.out, "trials.csv"), trials, args.config)
     write_sweep_csv(os.path.join(args.out, "sweep.csv"), points)
     write_sweep_dat(os.path.join(args.out, "sweep.dat"), points)
     write_summary(os.path.join(args.out, "summary.txt"), summarize(trials))
@@ -140,7 +138,18 @@ def cmd_write_config(args):
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "sweep":
+        # argparse types check every other flag; what --values must hold depends on --sweep
+        try:
+            args.spec = SweepSpec(
+                parameter=SWEEP_PARAMS[args.sweep],
+                values=tuple(float(v) for v in args.values.split(",")), trials=args.trials,
+                schemes=args.scheme, base_config=args.config, base_seed=args.seed,
+                jobs=args.jobs)
+        except ValueError as err:
+            parser.error(f"argument --values {args.values!r}: {err}")
     {
         "trial": cmd_trial,
         "sweep": cmd_sweep,

@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .certificates import dual_certificate, rebalance_powers
+from .certificates import RANK_CSV_COLUMNS, dual_certificate, rebalance_powers
 from .channel import CONFIG_FIELD_TYPES, SystemConfig, realize, watt2dbm
 from .metrics import dl_power, evaluate_qos, link_model, qos_csv_fields, qos_csv_header
 from .problem import (
@@ -98,6 +98,10 @@ class SweepSpec:
             raise ValueError(f"unknown sweep parameter {self.parameter!r}")
         if not self.values:
             raise ValueError("sweep needs a nonempty value list")
+        if not np.isfinite(self.values).all():
+            raise ValueError(f"sweep values must be finite, got {self.values}")
+        if self.parameter == "n_antennas" and not all(float(v).is_integer() for v in self.values):
+            raise ValueError(f"antenna counts must be whole numbers, got {self.values}")
         if self.trials < 1:
             raise ValueError("need at least one trial per point")
         check_schemes(self.schemes)
@@ -193,7 +197,7 @@ def _finish(out, report):
         out.alloc, qos = raw, evaluate_qos(raw, chan, cfg)
     out.qos = qos
     out.min_margin = qos.margins.worst()
-    out.rank = dual_certificate(report, chan, cfg, out.receivers, out.vmap, alloc=out.alloc)
+    out.rank = dual_certificate(report, chan, cfg, out.receivers, out.vmap, out.alloc)
     return out
 
 
@@ -424,7 +428,7 @@ def trial_csv_header(cfg):
         elif f.name == "qos":
             cols += qos_csv_header(cfg.n_dl, cfg.n_ul, cfg.n_idle)
         elif f.name == "rank":
-            cols += ["rank_max", "eig_ratio_max", "b_min_eig", "certificate_pass"]
+            cols += RANK_CSV_COLUMNS
         else:
             cols.append(f.name)
     return cols
@@ -506,14 +510,13 @@ def load_config(path):
             if key not in CONFIG_FIELD_TYPES:
                 raise ValueError(f"unknown config key {key!r}")
             kind = CONFIG_FIELD_TYPES[key]
-            if kind is int:
-                updates[key] = int(val)
-            elif kind is float:
-                updates[key] = float(val)
-            elif kind is tuple:
-                updates[key] = tuple(float(x) for x in val.split(",")) if val else ()
-            else:
-                updates[key] = val
+            try:
+                if kind is tuple:
+                    updates[key] = tuple(float(x) for x in val.split(",")) if val else ()
+                else:
+                    updates[key] = kind(val)
+            except ValueError as err:
+                raise ValueError(f"config key {key!r}: {err}") from None
     return SystemConfig(**updates)
 
 

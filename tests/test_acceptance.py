@@ -22,7 +22,7 @@ from fdsec.harness import (
     run_trials,
     sweep,
 )
-from fdsec.problem import ConicProblem, build_optimal_problem
+from fdsec.problem import ConicProblem, build_optimal_problem, recover_allocation
 from fdsec.receivers import zf_receivers
 from fdsec.solver import solve
 
@@ -112,7 +112,8 @@ class TestCriterion1ClosedForm:
             expected = cfg.dl_sinr_targets[0] * chan.sigma2_dl[0] / np.linalg.norm(h) ** 2
             rel = abs(report.primal_obj - expected) / expected
             assert rel <= 1e-5, f"objective off by {rel:.2e} (tol 1e-5)"
-            rank = dual_certificate(report, chan, cfg, receivers, vmap)
+            alloc = recover_allocation(report.primal, vmap, receivers)
+            rank = dual_certificate(report, chan, cfg, receivers, vmap, alloc)
             assert rank.ranks[0] == 1 and rank.eig_ratios[0] <= 1e-6
             align = abs(np.vdot(rank.w[0], h)) / (np.linalg.norm(rank.w[0]) * np.linalg.norm(h))
             assert align >= 1 - 1e-5, f"beam not parallel to the channel ({align})"

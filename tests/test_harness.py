@@ -316,6 +316,12 @@ class TestSweep:
             SweepSpec(parameter="n_antennas", values=())
         with pytest.raises(ValueError):
             SweepSpec(parameter="n_antennas", values=(6,), trials=0)
+        for values in ((8.5,), (6, float("inf"))):
+            with pytest.raises(ValueError, match="whole numbers|finite"):
+                SweepSpec(parameter="n_antennas", values=values)
+        with pytest.raises(ValueError, match="finite"):
+            SweepSpec(parameter="gamma_dl_req_db", values=(6.0, float("nan")))
+        assert SweepSpec(parameter="n_antennas", values=(6, 8.0)).config_for(8.0).n_antennas == 8
         for schemes in (("zf",), (), ("optimal", "optimal")):
             with pytest.raises(ValueError):
                 SweepSpec(parameter="n_antennas", values=(6,), schemes=schemes)
@@ -515,7 +521,7 @@ class TestCli:
             capture_output=True, text=True, timeout=600,
         )
 
-    def test_trial_command(self, tmp_path):
+    def test_trial_command(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.txt"
         cfg.write_text("n_antennas = 6\nn_dl = 3\nn_ul = 2\nn_idle = 2\n")
         proc = self.run_cli("trial", "--config", str(cfg), "--seed", "0",
@@ -525,11 +531,12 @@ class TestCli:
         assert (tmp_path / "summary.txt").exists()
         assert "status=optimal" in proc.stdout
         for arg, problem in ((",", "at least one scheme"), ("optimal,optimal", "repeats")):
-            with pytest.raises(SystemExit, match=problem):
+            with pytest.raises(SystemExit) as exc:
                 main(["trial", "--scheme", arg, "--out", str(tmp_path / "bad")])
+            assert exc.value.code == 2 and problem in capsys.readouterr().err
         assert not (tmp_path / "bad").exists()
 
-    def test_sweep_and_summarize(self, tmp_path):
+    def test_sweep_and_summarize(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.txt"
         cfg.write_text("n_antennas = 6\nn_dl = 3\nn_ul = 2\nn_idle = 2\n")
         proc = self.run_cli("sweep", "--config", str(cfg), "--sweep", "gamma_dl",
@@ -537,9 +544,10 @@ class TestCli:
                             "--seed", "0", "--jobs", "2", "--out", str(tmp_path))
         assert proc.returncode == 0, proc.stderr
         for arg, problem in ((",", "at least one scheme"), ("optimal,optimal", "repeats")):
-            with pytest.raises(SystemExit, match=problem):
+            with pytest.raises(SystemExit) as exc:
                 main(["sweep", "--sweep", "gamma_dl", "--values", "6", "--trials", "1",
                       "--scheme", arg, "--out", str(tmp_path / "bad")])
+            assert exc.value.code == 2 and problem in capsys.readouterr().err
         assert not (tmp_path / "bad").exists()
         for name in ("trials.csv", "sweep.csv", "sweep.dat", "summary.txt"):
             assert (tmp_path / name).exists()
@@ -548,6 +556,35 @@ class TestCli:
         assert proc2.returncode == 0, proc2.stderr
         assert "optimal" in proc2.stdout
         assert (tmp_path / "summary.txt").read_bytes() == written
+
+    def test_input_errors_exit_2_naming_the_flag(self, tmp_path, capsys):
+        # each bad value is a usage error (status 2) that names its flag or
+        # file, found before any trial runs or any output is written
+        bad_value = tmp_path / "bad_value.cfg"
+        bad_value.write_text("n_antennas = eight\n")
+        missing = tmp_path / "missing.cfg"
+        cases = [
+            (["sweep", "--sweep", "gamma_dl", "--values", "6,,12"], ["--values", "'6,,12'"]),
+            (["sweep", "--sweep", "gamma_dl", "--values", "nan"], ["--values", "finite"]),
+            (["trial", "--seed", "-1"], ["--seed", "at least 0"]),
+            (["sweep", "--sweep", "gamma_dl", "--values", "6", "--seed", "-1"], ["--seed"]),
+            (["sweep", "--sweep", "antennas", "--values", "8.5"], ["--values", "whole numbers"]),
+            (["trial", "--config", str(bad_value)], ["--config", "bad_value.cfg", "n_antennas"]),
+            (["sweep", "--sweep", "gamma_dl", "--values", "6", "--config", str(missing)],
+             ["--config", "missing.cfg"]),
+        ]
+        out = tmp_path / "out"
+        for argv, named in cases:
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--out", str(out)])
+            err = capsys.readouterr().err
+            assert exc.value.code == 2, argv
+            assert all(text in err for text in named), err
+            assert "Traceback" not in err
+        assert not out.exists()
+        proc = self.run_cli("trial", "--seed", "-1", "--out", str(out))
+        assert proc.returncode == 2 and "Traceback" not in proc.stderr
+        assert not out.exists()
 
     def test_write_config(self):
         proc = self.run_cli("write-config")
