@@ -22,6 +22,8 @@ from .harness import (
 )
 
 SWEEP_PARAMS = {"gamma_dl": "gamma_dl_req_db", "antennas": "n_antennas"}
+# the trials.csv columns that summarize reads
+SUMMARY_COLUMNS = ("scheme", "status", "objective_w", "objective_dbm")
 
 
 def _at_least(minimum):
@@ -116,15 +118,25 @@ def cmd_sweep(args):
     print(f"wrote sweep outputs under {args.out}")
 
 
+def _read_trials(path):
+    """The summarize rows of a trials.csv; ValueError says what is wrong with it."""
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.DictReader(fh)
+            missing = [c for c in SUMMARY_COLUMNS if c not in (reader.fieldnames or ())]
+            if missing:
+                raise ValueError(f"no {', '.join(missing)} column")
+            return [SimpleNamespace(scheme=rec["scheme"], feasible=rec["status"] == "optimal",
+                                    objective_w=float(rec["objective_w"]),
+                                    objective_dbm=float(rec["objective_dbm"]))
+                    for rec in reader]
+    except OSError as err:
+        raise ValueError(err.strerror) from None
+
+
 def cmd_summarize(args):
-    path = os.path.join(args.out, "trials.csv")
-    with open(path) as fh:
-        rows = [SimpleNamespace(scheme=rec["scheme"], feasible=rec["status"] == "optimal",
-                                objective_w=float(rec["objective_w"]),
-                                objective_dbm=float(rec["objective_dbm"]))
-                for rec in csv.DictReader(fh)]
     out = os.path.join(args.out, "summary.txt")
-    write_summary(out, summarize(rows))
+    write_summary(out, summarize(args.rows))
     with open(out) as fh:
         sys.stdout.write(fh.read())
 
@@ -150,6 +162,12 @@ def main(argv=None):
                 jobs=args.jobs)
         except ValueError as err:
             parser.error(f"argument --values {args.values!r}: {err}")
+    elif args.command == "summarize":
+        path = os.path.join(args.out, "trials.csv")
+        try:
+            args.rows = _read_trials(path)
+        except ValueError as err:
+            parser.error(f"argument --out: {path}: {err}")
     {
         "trial": cmd_trial,
         "sweep": cmd_sweep,

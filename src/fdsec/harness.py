@@ -13,7 +13,10 @@ whose problems differ only in the fixed AN direction, share batches, and so
 do sweep values of ``gamma_dl_req_db``, while those of ``n_antennas`` do
 not. One sweep runs one process pool over all of its batches, one batch per
 chunk.
-The half-duplex probe records a feasibility verdict only.
+The half-duplex probe records a feasibility verdict only. When its
+analytic precheck fires, the precheck's two rows give a closed-form Farkas
+ray; a trial whose ray passes the solver's exact ray test is decided by it,
+with 0 IPM iterations, and only the other trials run the IPM.
 """
 
 import csv
@@ -34,7 +37,7 @@ from .problem import (
     recover_allocation,
 )
 from .receivers import zf_receivers
-from .solver import solve, solve_many
+from .solver import ray_report, solve, solve_many
 
 # the problem layout of each scheme: the baselines' problems differ only in
 # the fixed AN direction, so they share one layout
@@ -73,7 +76,7 @@ class TrialResult:
     min_margin: float              # worst slack / activity over rows C1-C5
     hd_precheck_infeasible: Optional[bool]
     iterations: int
-    solve_time: float              # this trial's share of its lockstep solve
+    solve_time: float              # its share of its lockstep solve, or its ray check
     qos: Optional[object]          # QosReport for solved trials
     rank: Optional[object]         # RankReport for solved trials
     sweep_value: Optional[float] = None
@@ -115,18 +118,42 @@ class SweepSpec:
 
 
 def hd_precheck_fires(chan, cfg, receivers):
-    """Analytic infeasibility test for the no-AN probe.
+    """Analytic infeasibility test for the no-AN probe: whether
+    :func:`hd_crossing` finds a crossing."""
+    return hd_crossing(link_model(chan, receivers), cfg) is not None
+
+
+def hd_crossing(model, cfg):
+    """The widest (j, m) crossing of the no-AN probe's link model, or None.
 
     The UL target forces P_j >= gamma_j noise_j / own_j, its noise-limited
     minimum; with no artificial noise each eavesdropper cap bounds P_j
     above by gamma_tol sigma_m / |t_jm|^2. A crossing for any j proves
-    infeasibility before any solver runs.
+    infeasibility before any solver runs. The widest is the UL user j with
+    the largest ratio of minimum to least cap, and m the idle user of that
+    cap.
     """
-    model = link_model(chan, receivers)
     k = model.k_users
     p_min = cfg.ul_sinr_targets * model.noise[k:] / model.ul[k:].diagonal()
     caps = cfg.eve_sinr_cap * model.eve_noise[:, np.newaxis] / model.eve_ul
-    return bool(np.any(p_min > caps.min(axis=0, initial=np.inf)))
+    cap = caps.min(axis=0, initial=np.inf)
+    fires = p_min > cap
+    if not fires.any():
+        return None
+    j = int(np.argmax(np.where(fires, p_min / cap, 0.0)))
+    return j, int(np.argmin(caps[:, j]))
+
+
+def hd_ray(vmap, model, cfg, crossing):
+    """The Farkas ray of a crossing (j, m) of the no-AN probe: multiplier
+    gamma_j / |g_j^H r_j|^2 on C2[j] and gamma_tol / |t_jm|^2 on C4[m, j],
+    0 elsewhere. P_j cancels; every other entry of A'y is a negated
+    interference term, and b'y = p_min_j - cap_mj > 0 is the crossing."""
+    j, m = crossing
+    y = np.zeros(len(vmap.row_index))
+    y[vmap.row_index[f"C2[{j}]"]] = cfg.ul_sinr_targets[j] / model.ul[model.k_users + j, j]
+    y[vmap.row_index[f"C4[{m},{j}]"]] = cfg.eve_sinr_cap / model.eve_ul[m, j]
+    return y
 
 
 def evaluate_instance(cfg, seed, scheme):
@@ -147,38 +174,52 @@ def evaluate_instance(cfg, seed, scheme):
 
 
 def evaluate_batch(tasks):
-    """:func:`evaluate_instance` of each (cfg, seed, scheme) task, with
-    every problem solved in one :func:`fdsec.solver.solve_many` call; a
-    batch of one calls :func:`fdsec.solver.solve`, which returns the same
-    report. Keep that fork: ``bench/spans.py`` times solves by wrapping
+    """:func:`evaluate_instance` of each (cfg, seed, scheme) task. A
+    half-duplex trial whose precheck fires is decided by its closed-form
+    Farkas ray (:func:`hd_ray`), checked by
+    :func:`fdsec.solver.ray_report`, with 0 IPM iterations; every other
+    problem, and one whose ray is refused, is solved in one
+    :func:`fdsec.solver.solve_many` call. A batch of one such problem calls
+    :func:`fdsec.solver.solve`, which returns the same report. Keep that
+    fork: ``bench/spans.py`` times solves by wrapping
     ``fdsec.harness.solve``, so without it every ``solver.*`` span of a
     serial trial loop would read 0."""
     insts = [_prepare(*task) for task in tasks]
-    problems = [inst.problem for inst in insts]
-    if len(problems) == 1:
-        reports = [solve(problems[0])]
-    else:
-        reports = solve_many(problems)
+    reports = [None if inst.ray is None else ray_report(inst.problem, inst.ray)
+               for inst in insts]
+    todo = [i for i, report in enumerate(reports) if report is None]
+    problems = [insts[i].problem for i in todo]
+    solved = [solve(problems[0])] if len(problems) == 1 else solve_many(problems)
+    for i, report in zip(todo, solved):
+        reports[i] = report
     return [_finish(inst, report) for inst, report in zip(insts, reports)]
 
 
 def _prepare(cfg, seed, scheme):
-    """Channel, receivers and conic problem of one task."""
+    """Channel, receivers and conic problem of one task; for the
+    half-duplex probe also its precheck verdict and, when that fires, the
+    candidate ray, all read off one link model."""
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
     _, chan = realize(cfg, seed)
     receivers = zf_receivers(chan.g)
+    precheck = ray = None
     if scheme == "optimal":
         problem, vmap = build_optimal_problem(chan, cfg, receivers)
     elif scheme == "hd":
-        problem, vmap = build_hd_problem(chan, cfg, receivers)
+        model = link_model(chan, receivers)
+        problem, vmap = build_hd_problem(chan, cfg, receivers, model)
+        crossing = hd_crossing(model, cfg)
+        precheck = crossing is not None
+        if precheck:
+            ray = hd_ray(vmap, model, cfg, crossing)
     else:
         problem, vmap = build_baseline_problem(chan, cfg, receivers, scheme)
     return SimpleNamespace(
         cfg=cfg, seed=seed, scheme=scheme, chan=chan,
         receivers=receivers, problem=problem, vmap=vmap, report=None,
         alloc=None, qos=None, rank=None, min_margin=float("nan"),
-        precheck=hd_precheck_fires(chan, cfg, receivers) if scheme == "hd" else None,
+        precheck=precheck, ray=ray,
     )
 
 

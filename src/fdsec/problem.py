@@ -162,9 +162,10 @@ def _check_dims(chan, cfg, receivers):
     return n, k, j, m
 
 
-def _assemble(chan, cfg, receivers, an_mode, direction=None):
+def _assemble(chan, cfg, receivers, an_mode, direction=None, model=None):
     n, k, j, m = _check_dims(chan, cfg, receivers)
-    model = link_model(chan, receivers)
+    if model is None:
+        model = link_model(chan, receivers)
     targets = np.concatenate([cfg.dl_sinr_targets, cfg.ul_sinr_targets])
     gamma_tol = cfg.eve_sinr_cap
 
@@ -265,9 +266,11 @@ def build_baseline_problem(chan, cfg, receivers, scheme):
     return _assemble(chan, cfg, receivers, "direction", direction=direction)
 
 
-def build_hd_problem(chan, cfg, receivers):
-    """Probe with artificial noise forced to zero (half-duplex style BS)."""
-    return _assemble(chan, cfg, receivers, "none")
+def build_hd_problem(chan, cfg, receivers, model=None):
+    """Probe with artificial noise forced to zero (half-duplex style BS);
+    ``model`` is the channel's :func:`fdsec.metrics.link_model`, computed
+    here when not given."""
+    return _assemble(chan, cfg, receivers, "none", model=model)
 
 
 def recover_allocation(values, vmap, receivers):

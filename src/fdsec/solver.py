@@ -11,7 +11,8 @@ Infeasibility is decided on the iterates themselves: once the dual
 iterate y of an infeasible program grows along a Farkas ray, the exact
 test ``_farkas_rays`` accepts it, with every cone violation measured
 against the magnitude of the terms it sums (Todd, "Detecting infeasibility
-in infeasible-interior-point methods for optimization", 2004). The
+in infeasible-interior-point methods for optimization", 2004). A ray known
+in closed form passes the same test in ``ray_report``, with no IPM run. The
 objective lies in the dual cone (a ``ConicProblem`` with one that does not
 cannot be built), so no program is unbounded and there is no
 dual-infeasibility verdict.
@@ -670,6 +671,27 @@ def solve_many(problems):
         for i, rep in zip(index, _Lockstep(list(sfs)).run(list(clocks))):
             reports[i] = rep
     return reports
+
+
+def ray_report(problem, y):
+    """The ``primal_infeasible`` report of a problem whose infeasibility the
+    multipliers ``y`` (one per constraint, in the >= orientation of a
+    report's ``multipliers``) prove, else None.
+
+    The ray is checked, not trusted: it must pass the very test
+    ``_farkas_rays`` that accepts the IPM's own rays. The report carries y
+    in ``multipliers`` (0 on rows presolve drops) and -A'y in ``psd_duals``
+    and ``orthant_dual``, with 0 iterations; ``solve_time`` is this call's
+    own time.
+    """
+    tick = time.perf_counter()
+    sf = _StandardForm(problem)
+    y_kept = np.asarray(y, dtype=float)[sf.kept] / (sf.row_scale * sf.obj_scale)
+    aty = sf.a_full.T @ y_kept
+    if not _farkas_rays(_Stack([sf]), y_kept[np.newaxis], aty[np.newaxis])[0]:
+        return None
+    rep = _report(sf, "primal_infeasible", np.zeros(sf.n_total), y_kept, -aty, 0, [])
+    return replace(rep, solve_time=time.perf_counter() - tick)
 
 
 def _presolved_report(sf):

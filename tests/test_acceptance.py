@@ -22,7 +22,12 @@ from fdsec.harness import (
     run_trials,
     sweep,
 )
-from fdsec.problem import ConicProblem, build_optimal_problem, recover_allocation
+from fdsec.problem import (
+    ConicProblem,
+    build_hd_problem,
+    build_optimal_problem,
+    recover_allocation,
+)
 from fdsec.receivers import zf_receivers
 from fdsec.solver import solve
 
@@ -317,14 +322,21 @@ class TestCriterion7HdInfeasibility:
                 firing_seeds.append(seed)
             seed += 1
         assert len(firing_seeds) >= 100, "could not find 100 firing drops"
-        results = run_trials(cfg, firing_seeds, ("hd",), jobs=2)
-        verdicts = [r.status for r in results]
+        # the IPM's own verdict: run_trial decides these drops by the precheck's ray
+        verdicts = []
+        for seed in firing_seeds:
+            _, chan = realize(cfg, seed)
+            verdicts.append(solve(build_hd_problem(chan, cfg, zf_receivers(chan.g))[0]).status)
         agreeing = sum(v == "primal_infeasible" for v in verdicts)
         assert agreeing == len(firing_seeds), (
             f"{agreeing}/{len(firing_seeds)} infeasible verdicts; "
             f"others: {[v for v in verdicts if v != 'primal_infeasible']}")
+        results = run_trials(cfg, firing_seeds, ("hd",), jobs=2)
+        by_ray = [r.seed for r in results if r.status == "primal_infeasible" and r.iterations == 0]
+        assert by_ray == firing_seeds, (
+            f"not decided by the ray: {sorted(set(firing_seeds) - set(by_ray))}")
         announce(7, f"HD probe: analytic precheck and solver agree on "
-                    f"{agreeing}/{len(firing_seeds)} drops")
+                    f"{agreeing}/{len(firing_seeds)} drops; each trial is decided by its ray")
 
 
 class TestCriterion8SolverSuite:

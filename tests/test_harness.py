@@ -15,6 +15,7 @@ import oracles
 from fdsec.certificates import rebalance_powers
 from fdsec.channel import SystemConfig, realize
 from fdsec.cli import build_parser, main
+import fdsec.harness as harness
 from fdsec.harness import (
     BATCH_TRIALS,
     SCHEMES,
@@ -22,7 +23,9 @@ from fdsec.harness import (
     TrialResult,
     _aggregate_point,
     _batches,
+    _prepare,
     _tasks,
+    evaluate_batch,
     evaluate_instance,
     hd_precheck_fires,
     load_config,
@@ -37,9 +40,9 @@ from fdsec.harness import (
     write_sweep_dat,
     write_trials_csv,
 )
-from fdsec.problem import recover_allocation
+from fdsec.problem import build_hd_problem, recover_allocation
 from fdsec.receivers import zf_receivers
-from fdsec.solver import solve
+from fdsec.solver import ray_report, solve
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 sys.path.insert(0, BENCH)
@@ -175,31 +178,50 @@ class TestPolish:
         assert checks.check_instance(inst) == []
 
 
+def hd_drops(test):
+    """Run a test of (self, dims, gamma_ul_db, seed) on random no-AN probe
+    drops with dims = (N, K, J, M), J and M below N, and on named drops:
+    the edge configurations J = 0, M = 0, K = 1 and N = J + 1."""
+    named = (((8, 6, 3, 5), 1),    # fires
+             ((8, 6, 3, 5), 3),    # does not fire
+             ((4, 2, 0, 2), 0),    # J = 0
+             ((4, 2, 2, 0), 0),    # M = 0
+             ((4, 1, 1, 1), 0),    # K = 1
+             ((3, 2, 2, 1), 0))    # N = J + 1
+    for dims, seed in named:
+        test = example(dims=dims, gamma_ul_db=10.0, seed=seed)(test)
+    test = given(dims=st.integers(2, 8).flatmap(lambda n: st.tuples(
+                     st.just(n), st.integers(1, 6), st.integers(0, n - 1),
+                     st.integers(0, n - 1))),
+                 gamma_ul_db=st.floats(-10.0, 30.0), seed=st.integers(0, 2**16))(test)
+    return settings(max_examples=100, deadline=None, derandomize=True)(test)
+
+
+def hd_config(dims, gamma_ul_db):
+    n, k, j, m = dims
+    return SystemConfig(n_antennas=n, n_dl=k, n_ul=j, n_idle=m,
+                        gamma_ul_req_default_db=gamma_ul_db)
+
+
 class TestHdPrecheck:
     def test_agreement_with_solver(self):
         cfg = SystemConfig()
         fired = 0
         for seed in range(6):
-            r = run_trial(cfg, seed, "hd")
-            if r.hd_precheck_infeasible:
+            _, chan = realize(cfg, seed)
+            rec = zf_receivers(chan.g)
+            if hd_precheck_fires(chan, cfg, rec):
                 fired += 1
-                assert r.status == "primal_infeasible"
+                # the IPM's own verdict: run_trial decides the drop by its ray
+                assert solve(build_hd_problem(chan, cfg, rec)[0]).status == "primal_infeasible"
+                r = run_trial(cfg, seed, "hd")
+                assert r.hd_precheck_infeasible
+                assert r.status == "primal_infeasible" and r.iterations == 0
         assert fired >= 1  # typical drops place an idle user near a UL user
 
-    @settings(max_examples=100, deadline=None, derandomize=True)
-    @given(dims=st.integers(2, 8).flatmap(lambda n: st.tuples(
-               st.just(n), st.integers(1, 6), st.integers(0, n - 1), st.integers(0, n - 1))),
-           gamma_ul_db=st.floats(-10.0, 30.0), seed=st.integers(0, 2**16))
-    @example(dims=(8, 6, 3, 5), gamma_ul_db=10.0, seed=1)   # fires
-    @example(dims=(8, 6, 3, 5), gamma_ul_db=10.0, seed=3)   # does not fire
-    @example(dims=(4, 2, 0, 2), gamma_ul_db=10.0, seed=0)   # J = 0
-    @example(dims=(4, 2, 2, 0), gamma_ul_db=10.0, seed=0)   # M = 0
-    @example(dims=(4, 1, 1, 1), gamma_ul_db=10.0, seed=0)   # K = 1
-    @example(dims=(3, 2, 2, 1), gamma_ul_db=10.0, seed=0)   # N = J + 1
+    @hd_drops
     def test_agrees_with_independent_precheck(self, dims, gamma_ul_db, seed):
-        n, k, j, m = dims
-        cfg = SystemConfig(n_antennas=n, n_dl=k, n_ul=j, n_idle=m,
-                           gamma_ul_req_default_db=gamma_ul_db)
+        cfg = hd_config(dims, gamma_ul_db)
         _, chan = realize(cfg, seed)
         rec = zf_receivers(chan.g)
         assert hd_precheck_fires(chan, cfg, rec) is checks.ul_precheck(chan, cfg, rec.r)
@@ -209,6 +231,69 @@ class TestHdPrecheck:
         _, chan = realize(cfg, 0)
         rec = zf_receivers(chan.g)
         assert hd_precheck_fires(chan, cfg, rec) is False
+
+
+def halve_c4(vmap, y):
+    """The ray y with its C4 multiplier halved: P_j keeps a net positive
+    coefficient in A'y, so it is no ray."""
+    y = y.copy()
+    y[[i for label, i in vmap.row_index.items() if label.startswith("C4") and y[i]]] *= 0.5
+    return y
+
+
+class TestHdRay:
+    def test_firing_drops_carry_a_valid_ray(self):
+        cfg = SystemConfig()
+        decided = 0
+        for seed in range(12):
+            inst = evaluate_instance(cfg, seed, "hd")
+            if inst.precheck:
+                decided += 1
+                assert inst.report.status == "primal_infeasible"
+                assert inst.report.iterations == 0
+                assert checks.valid_ray(inst.problem, inst.report.multipliers)
+            else:
+                assert inst.report.iterations > 0
+        assert decided >= 1
+
+    @hd_drops
+    def test_ray_exactly_when_precheck_fires(self, dims, gamma_ul_db, seed):
+        inst = _prepare(hd_config(dims, gamma_ul_db), seed, "hd")
+        fires = checks.ul_precheck(inst.chan, inst.cfg, inst.receivers.r)
+        assert inst.precheck is fires and (inst.ray is not None) is fires
+        if fires:
+            report = ray_report(inst.problem, inst.ray)
+            assert report is not None and report.status == "primal_infeasible"
+            assert report.iterations == 0
+            assert checks.valid_ray(inst.problem, report.multipliers)
+
+    def test_report_refuses_a_non_ray(self):
+        inst = _prepare(SystemConfig(), 1, "hd")
+        assert ray_report(inst.problem, inst.ray) is not None
+        assert ray_report(inst.problem, halve_c4(inst.vmap, inst.ray)) is None
+        assert ray_report(inst.problem, np.zeros_like(inst.ray)) is None
+
+    def test_refused_ray_falls_through_to_the_ipm(self, monkeypatch):
+        cfg = SystemConfig()
+        ipm = solve(_prepare(cfg, 1, "hd").problem)
+        built = harness.hd_ray
+        monkeypatch.setattr(harness, "hd_ray",
+                            lambda vmap, *args: halve_c4(vmap, built(vmap, *args)))
+        inst = evaluate_instance(cfg, 1, "hd")
+        assert inst.precheck
+        assert inst.report.status == "primal_infeasible" and inst.report.iterations > 0
+        assert inst.report.iterations == ipm.iterations
+        assert np.array_equal(inst.report.multipliers, ipm.multipliers)
+
+    def test_batch_matches_solo_trials(self):
+        # rays and IPM solves mixed in one batch, each as its trial alone
+        cfg = SystemConfig()
+        batch = evaluate_batch([(cfg, seed, "hd") for seed in range(4)])
+        assert [inst.precheck for inst in batch] == [False, True, True, False]
+        for seed, inst in enumerate(batch):
+            solo = evaluate_instance(cfg, seed, "hd").report
+            assert inst.report.iterations == solo.iterations
+            assert np.array_equal(inst.report.multipliers, solo.multipliers)
 
 
 def same_trial(a, b):
@@ -585,6 +670,24 @@ class TestCli:
         proc = self.run_cli("trial", "--seed", "-1", "--out", str(out))
         assert proc.returncode == 2 and "Traceback" not in proc.stderr
         assert not out.exists()
+
+    def test_summarize_without_trials_csv_exits_2(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["summarize", "--out", str(tmp_path / "empty")])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert "--out" in err and os.path.join("empty", "trials.csv") in err
+        assert not (tmp_path / "empty").exists()
+
+    def test_summarize_without_status_column_exits_2(self, tmp_path, capsys):
+        (tmp_path / "trials.csv").write_text("scheme,objective_w,objective_dbm\noptimal,1,30\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["summarize", "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2 and "trials.csv" in err and "status" in err
+        assert not (tmp_path / "summary.txt").exists()
+        proc = self.run_cli("summarize", "--out", str(tmp_path))
+        assert proc.returncode == 2 and "Traceback" not in proc.stderr
 
     def test_write_config(self):
         proc = self.run_cli("write-config")
