@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import eigvals_herm, herm_eig, scipy_extension
+from .linalg import eigvals_herm, herm_eig, scipy_extension, scipy_extension_spec
 from .metrics import Allocation, link_model, objective, quad_forms, quad_table
 from .problem import recover_duals
 
@@ -25,6 +25,10 @@ RANK_CSV_COLUMNS = ("rank_max", "eig_ratio_max", "b_min_eig", "certificate_pass"
 # polish settles for when no point along its directions holds every cap
 CAP_TOL_FALLBACK = 1e-7
 _LP_TOL = np.sqrt(1e-9) * 10  # linprog's post-solve allowance on x >= 0 and the slacks
+# scipy's compiled HiGHS, loaded on the first polish; located here, so that a
+# scipy without it fails at import and not after a sweep's IPM work
+_HIGHSPY = "scipy.optimize._highspy._core"
+scipy_extension_spec(_HIGHSPY)
 
 
 class NotPsdError(ValueError):
@@ -131,7 +135,7 @@ def _an_patch_matrices(chan, si_vecs):
 def _highs():
     """scipy's compiled HiGHS binding, loaded on the first polish without the
     scipy.optimize package, and the options scipy.optimize.linprog passes it."""
-    h = scipy_extension("scipy.optimize._highspy._core")
+    h = scipy_extension(_HIGHSPY)
     options = h.HighsOptions()
     options.presolve = "on"
     options.highs_debug_level = 0

@@ -21,14 +21,25 @@ COND_LIMIT = 1e12
 
 
 @cache
+def scipy_extension_spec(name):
+    """The import spec of scipy's compiled extension module ``name`` (a
+    dotted name such as ``"scipy.linalg._flapack"``), found without loading
+    it; an ImportError naming the module and scipy's version when the
+    installed scipy has none."""
+    spec = PathFinder.find_spec(name, [os.path.join(p, *name.split(".")[1:-1])
+                                       for p in scipy.__path__])
+    if spec is None:
+        raise ImportError(f"scipy {scipy.__version__} has no compiled module {name}", name=name)
+    return spec
+
+
+@cache
 def scipy_extension(name):
-    """scipy's compiled extension module ``name`` (a dotted name such as
-    ``"scipy.linalg._flapack"``), loaded without the scipy packages around
-    it; when scipy has loaded it already, that very module."""
+    """scipy's compiled extension module ``name``, loaded without the scipy
+    packages around it; when scipy has loaded it already, that very module."""
     module = sys.modules.get(name)
     if module is None:
-        spec = PathFinder.find_spec(name, [os.path.join(p, *name.split(".")[1:-1])
-                                           for p in scipy.__path__])
+        spec = scipy_extension_spec(name)
         module = module_from_spec(spec)
         spec.loader.exec_module(module)
     return module

@@ -138,9 +138,12 @@ def _unembed_hermitian(m, atol=1e-6):
 
 
 def hermitian_coeff(h):
-    """Real-embedded coefficient whose pairing with embed(X) equals Tr(hX)."""
+    """Real-embedded coefficient whose pairing with embed(X) equals Tr(hX),
+    read-only, as the blocks and rows of a program may share one."""
     e = 0.5 * _embed_real(h)
-    return 0.5 * (e + e.T)  # exact symmetry despite ulp-level rounding upstream
+    out = 0.5 * (e + e.T)  # exact symmetry despite ulp-level rounding upstream
+    out.flags.writeable = False
+    return out
 
 
 def recover_duals(report, vmap):
@@ -177,10 +180,11 @@ def _assemble(chan, cfg, receivers, an_mode, direction=None, model=None):
     constraints = []
     row_index = {}
 
-    def add(psd, orth, constant, sense, label, outer=None):
-        """Add one row; ``outer`` enters it as the AN term -Tr(outer V)."""
+    def add(psd, orth, constant, sense, label, outer=None, neg=None):
+        """Add one row; ``outer`` enters it as the AN term -Tr(outer V), whose
+        coefficient ``neg`` = hermitian_coeff(-outer) the row shares."""
         if outer is not None and an_mode == "matrix":
-            psd[v_block] = hermitian_coeff(-outer)
+            psd[v_block] = neg
         elif outer is not None and an_mode == "direction":
             orth[v_orth] += float(np.trace(-outer @ direction).real)
         # "none": V identically zero, term dropped
@@ -193,29 +197,34 @@ def _assemble(chan, cfg, receivers, an_mode, direction=None, model=None):
     # link rows: C1 (DL user r), then C2 (UL receiver r - K)
     for r, vec in enumerate(model.vecs):
         outer = np.outer(vec, vec.conj())
+        neg = hermitian_coeff(-outer)
         psd = {r: hermitian_coeff(outer / targets[r])} if r < k else {}
-        psd.update((i, hermitian_coeff(-outer)) for i in range(k) if i != r)
+        psd.update((i, neg) for i in range(k) if i != r)
         orth = np.zeros(orthant_dim)
         orth[:j] = -model.ul[r]
         if r >= k:
             orth[r - k] = model.ul[r, r - k] / targets[r]
-        add(psd, orth, model.noise[r], ">=", f"C1[{r}]" if r < k else f"C2[{r - k}]", outer)
+        add(psd, orth, model.noise[r], ">=", f"C1[{r}]" if r < k else f"C2[{r - k}]",
+            outer, neg)
 
-    # eavesdropper rows (m, r): C3 for the DL messages, then C4 for the UL ones
+    # eavesdropper rows (m, r): C3 for the DL messages, then C4 for the UL
+    # ones; the rows of one eavesdropper share its coefficients
+    eve_outers = [np.outer(vec, vec.conj()) for vec in model.eves]
+    eve_caps = [hermitian_coeff(outer / gamma_tol) for outer in eve_outers]
+    eve_negs = [hermitian_coeff(-outer) if an_mode == "matrix" else None for outer in eve_outers]
     for mm, r in sorted(np.ndindex(m, k + j), key=lambda mr: mr[1] >= k):
-        outer = np.outer(model.eves[mm], model.eves[mm].conj())
         psd, orth = {}, np.zeros(orthant_dim)
         if r < k:
-            psd[r] = hermitian_coeff(outer / gamma_tol)
+            psd[r] = eve_caps[mm]
         else:
             orth[r - k] = model.eve_ul[mm, r - k] / gamma_tol
         label = f"C3[{mm},{r}]" if r < k else f"C4[{mm},{r - k}]"
-        add(psd, orth, model.eve_noise[mm], "<=", label, outer)
+        add(psd, orth, model.eve_noise[mm], "<=", label, eve_outers[mm], eve_negs[mm])
 
     for jj, orth in enumerate(np.eye(j, orthant_dim)):
         add({}, orth, 0.0, ">=", f"C5[{jj}]")
 
-    obj_psd = [hermitian_coeff(cfg.alpha * np.eye(n, dtype=complex)) for _ in psd_dims]
+    obj_psd = [hermitian_coeff(cfg.alpha * np.eye(n, dtype=complex))] * len(psd_dims)
     obj_orth = np.full(orthant_dim, cfg.beta)
     if an_mode == "direction":
         obj_orth[v_orth] = cfg.alpha * float(np.trace(direction).real)

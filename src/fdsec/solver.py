@@ -119,13 +119,16 @@ class _BlockGroup:
     ``cols[j]`` holds the svec positions of block ``blocks[j]`` (upper
     triangle row by row, off-diagonal entries times sqrt 2), ``pos[j]`` the
     position of every entry of its d x d matrix and ``diag[j]`` those of its
-    diagonal, so svec and smat of all B blocks are one gather each.
+    diagonal, so svec and smat of all B blocks are one gather each;
+    ``upper`` holds the flat positions of the upper triangle in a d x d
+    matrix.
     """
 
     def __init__(self, d, blocks, block_starts):
         self.d = d
         self.blocks = np.asarray(blocks, dtype=int)
         self.iu = np.triu_indices(d)
+        self.upper = self.iu[0] * d + self.iu[1]
         self.w = np.where(self.iu[0] == self.iu[1], 1.0, np.sqrt(2.0))
         self.w_mat = np.where(np.eye(d, dtype=bool), 1.0, np.sqrt(2.0))
         local = np.empty((d, d), dtype=int)
@@ -138,11 +141,16 @@ class _BlockGroup:
 
     def smat(self, vec):
         """(..., B, d, d) symmetric blocks of svec vectors (..., n)."""
-        return vec[..., self.pos] / self.w_mat
+        mats = np.take(vec, self.pos, axis=-1)
+        mats /= self.w_mat
+        return mats
 
     def svec(self, mats):
         """(..., B, L) svec entries of (..., B, d, d) symmetric blocks."""
-        return mats[..., self.iu[0], self.iu[1]] * self.w
+        flat = mats.reshape(mats.shape[:-2] + (self.d * self.d,))
+        out = np.take(flat, self.upper, axis=-1)
+        out *= self.w
+        return out
 
     def row_mats(self, a):
         """(B, m, d, d) symmetric blocks of the m rows of ``a``."""
@@ -321,10 +329,13 @@ class _Stack:
         self.a_t = _t(self.a)
         self.b = stack([sf.b for sf in sfs])
         self.c = stack([sf.c_full for sf in sfs])
-        self.a_mats = [stack(mats) for mats in zip(*(sf.a_mats for sf in sfs))]
-        # per group and block, the rows that are nonzero on it in some trial
+        # per group and block, the rows that are nonzero on it in some trial,
+        # and the (T, rows, d, d) stack of its matrices on those rows
         self.block_rows = [[np.flatnonzero(rows) for rows in np.logical_or.reduce(masks)]
                            for masks in zip(*(sf.nonzero for sf in sfs))]
+        self.block_mats = [[np.stack([sf.a_mats[k][j, rows] for sf in sfs])
+                            for j, rows in enumerate(block_rows)]
+                           for k, block_rows in enumerate(self.block_rows)]
         self.col_scale = stack([sf.col_scale for sf in sfs])
         self.row_scale = stack([sf.row_scale for sf in sfs])
         self.b_scale = np.array([[sf.b_scale] for sf in sfs])
@@ -424,13 +435,13 @@ def _scaled_rows(st, scal):
     trial stay zero, as G' 0 G is, so only its other rows are scaled."""
     lay = st.lay
     atil = np.zeros((len(st.sfs), len(lay.kept), lay.n_total))
-    for grp, a_mats, g, block_rows in zip(lay.groups, st.a_mats, scal.g, st.block_rows):
+    for grp, g, block_mats, block_rows in zip(lay.groups, scal.g, st.block_mats, st.block_rows):
         # one product per block over all trials and its rows: broadcasting the
         # (T, B, d, d) stack against (T, B, m, d, d) runs several times slower
-        for j, (cols, rows) in enumerate(zip(grp.cols, block_rows)):
+        for j, (cols, mats, rows) in enumerate(zip(grp.cols, block_mats, block_rows)):
             g_blk = g[:, j, np.newaxis]
-            prod = np.matmul(_t(g_blk), np.matmul(a_mats[:, j, rows], g_blk))
-            atil[:, rows[:, np.newaxis], cols] = grp.svec(prod)
+            prod = np.matmul(_t(g_blk), np.matmul(mats, g_blk))
+            atil[:, rows, cols[0]:cols[-1] + 1] = grp.svec(prod)
     atil[:, :, lay.n_sv:] = st.a[:, :, lay.n_sv:] * scal.w_orth[:, np.newaxis, :]
     return atil
 
@@ -679,19 +690,28 @@ def ray_report(problem, y):
     report's ``multipliers``) prove, else None.
 
     The ray is checked, not trusted: it must pass the very test
-    ``_farkas_rays`` that accepts the IPM's own rays. The report carries y
-    in ``multipliers`` (0 on rows presolve drops) and -A'y in ``psd_duals``
-    and ``orthant_dual``, with 0 iterations; ``solve_time`` is this call's
-    own time.
+    ``_farkas_rays`` that accepts the IPM's own rays, on the sub-program of
+    the rows where y is nonzero. A ray of some of the rows proves the whole
+    program infeasible, and the test's verdict does not depend on the
+    equilibration, which differs between the two programs. The report
+    carries y in ``multipliers`` (0 off those rows and on rows presolve
+    drops) and -A'y in ``psd_duals`` and ``orthant_dual``, with 0
+    iterations; ``solve_time`` is this call's own time.
     """
     tick = time.perf_counter()
-    sf = _StandardForm(problem)
-    y_kept = np.asarray(y, dtype=float)[sf.kept] / (sf.row_scale * sf.obj_scale)
+    y = np.asarray(y, dtype=float)
+    support = np.flatnonzero(y)
+    sf = _StandardForm(replace(problem, constraints=tuple(problem.constraints[i]
+                                                          for i in support)))
+    rows = support[sf.kept]
+    y_kept = y[rows] / (sf.row_scale * sf.obj_scale)
     aty = sf.a_full.T @ y_kept
     if not _farkas_rays(_Stack([sf]), y_kept[np.newaxis], aty[np.newaxis])[0]:
         return None
     rep = _report(sf, "primal_infeasible", np.zeros(sf.n_total), y_kept, -aty, 0, [])
-    return replace(rep, solve_time=time.perf_counter() - tick)
+    multipliers = np.zeros(len(y))
+    multipliers[rows] = rep.multipliers[sf.kept]
+    return replace(rep, multipliers=multipliers, solve_time=time.perf_counter() - tick)
 
 
 def _presolved_report(sf):

@@ -244,7 +244,8 @@ def scaled_rows_all(st, scal):
     ``st`` and its scaling ``scal``."""
     lay = st.lay
     atil = np.empty((len(st.sfs), len(lay.kept), lay.n_total))
-    for grp, a_mats, g in zip(lay.groups, st.a_mats, scal.g):
+    for k, (grp, g) in enumerate(zip(lay.groups, scal.g)):
+        a_mats = np.stack([sf.a_mats[k] for sf in st.sfs])
         for j, cols in enumerate(grp.cols):
             g_blk = g[:, j, np.newaxis]
             prod = np.matmul(np.swapaxes(g_blk, -1, -2), np.matmul(a_mats[:, j], g_blk))

@@ -42,7 +42,7 @@ from fdsec.harness import (
 )
 from fdsec.problem import build_hd_problem, recover_allocation
 from fdsec.receivers import zf_receivers
-from fdsec.solver import ray_report, solve
+from fdsec.solver import _farkas_rays, _Stack, _StandardForm, ray_report, solve
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 sys.path.insert(0, BENCH)
@@ -241,6 +241,38 @@ def halve_c4(vmap, y):
     return y
 
 
+def whole_program_verdict(problem, y):
+    """Whether ``_farkas_rays`` accepts multipliers y on the standard form of
+    the whole program: the reference for ``ray_report``'s support-row check."""
+    sf = _StandardForm(problem)
+    y_kept = np.asarray(y, dtype=float)[sf.kept] / (sf.row_scale * sf.obj_scale)
+    aty = sf.a_full.T @ y_kept
+    return bool(_farkas_rays(_Stack([sf]), y_kept[np.newaxis], aty[np.newaxis])[0])
+
+
+def check_support_rays(inst):
+    """``ray_report`` on the built ray of a firing drop, on it with its C4
+    multiplier halved, and on it plus a multiplier on C1[0] that keeps it a
+    ray and one that does not (a 3-row support): each verdict is the whole
+    program's, and an accepted report is 0 off the support and passes the
+    benchmark's ray check. Returns the verdicts."""
+    variants = [inst.ray, halve_c4(inst.vmap, inst.ray)]
+    for share in (1e-12, 1e-3):
+        y = inst.ray.copy()
+        y[inst.vmap.row_index["C1[0]"]] = share * inst.ray.max()
+        variants.append(y)
+    verdicts = []
+    for y in variants:
+        report = ray_report(inst.problem, y)
+        verdicts.append(report is not None)
+        assert verdicts[-1] is whole_program_verdict(inst.problem, y)
+        if report is not None:
+            assert np.all(report.multipliers[y == 0] == 0.0)
+            assert np.allclose(report.multipliers, y, rtol=1e-14, atol=0.0)
+            assert checks.valid_ray(inst.problem, report.multipliers)
+    return verdicts
+
+
 class TestHdRay:
     def test_firing_drops_carry_a_valid_ray(self):
         cfg = SystemConfig()
@@ -266,6 +298,17 @@ class TestHdRay:
             assert report is not None and report.status == "primal_infeasible"
             assert report.iterations == 0
             assert checks.valid_ray(inst.problem, report.multipliers)
+            check_support_rays(inst)
+
+    def test_support_check_matches_whole_program(self):
+        verdicts = []
+        for seed in range(41):
+            inst = _prepare(SystemConfig(), seed, "hd")
+            if inst.ray is not None:
+                verdicts.append(check_support_rays(inst))
+        # the ray and its 1e-12 C1 extension pass, the other two do not
+        assert len(verdicts) >= 20
+        assert all(v == [True, False, True, False] for v in verdicts)
 
     def test_report_refuses_a_non_ray(self):
         inst = _prepare(SystemConfig(), 1, "hd")
@@ -574,7 +617,8 @@ class TestImports:
                 "unloaded = ('scipy.optimize', 'scipy.special', 'scipy.linalg', 'scipy.sparse',"
                 " 'concurrent.futures.process')\n"
                 "fdsec.run_trial(fdsec.SystemConfig(), 0, 'hd')\n"
-                "print([m for m in unloaded if m in sys.modules])\n"
+                "print([m for m in unloaded + ('scipy.optimize._highspy._core',)"
+                " if m in sys.modules])\n"
                 "r = fdsec.run_trial(fdsec.SystemConfig(), 0, 'optimal')\n"
                 "print(r.status, [m for m in unloaded if m in sys.modules])\n"
                 "import scipy.linalg.lapack as lapack\n"
@@ -586,6 +630,23 @@ class TestImports:
                               timeout=600)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == ["[]", "optimal []", "True True", "True"]
+
+    def test_missing_highs_fails_at_import(self):
+        # a scipy without the compiled HiGHS is refused by `import fdsec`,
+        # with an ImportError naming the module and scipy's version
+        code = ("import importlib.machinery as machinery\n"
+                "find = machinery.PathFinder.find_spec\n"
+                "machinery.PathFinder.find_spec = lambda name, *args: (\n"
+                "    None if name.endswith('_highspy._core') else find(name, *args))\n"
+                "import scipy\n"
+                "try:\n"
+                "    import fdsec\n"
+                "except ImportError as exc:\n"
+                "    print(exc.name, scipy.__version__ in str(exc))\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=600)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["scipy.optimize._highspy._core True"]
 
     def test_polish_reuses_loaded_optimize(self):
         # the opposite order: scipy.optimize first, then a polishing trial

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+import scipy
 
-from fdsec.linalg import herm_eig, pseudoinverse_full_col_rank
+from fdsec.linalg import herm_eig, pseudoinverse_full_col_rank, scipy_extension
 
 
 def random_hermitian(rng, n):
@@ -98,3 +99,11 @@ class TestPseudoinverse:
     def test_wide_matrix_raises(self):
         with pytest.raises(np.linalg.LinAlgError):
             pseudoinverse_full_col_rank(np.ones((2, 3), dtype=complex))
+
+
+class TestScipyExtension:
+    def test_missing_extension_is_a_named_import_error(self):
+        name = "scipy.linalg._no_such_extension"
+        with pytest.raises(ImportError, match=f"scipy {scipy.__version__} .*{name}") as exc:
+            scipy_extension(name)
+        assert exc.value.name == name

@@ -11,7 +11,7 @@ from oracles import allocation_to_blocks
 from fdsec.channel import SystemConfig, realize
 from fdsec.harness import evaluate_instance
 from fdsec.linalg import eigvals_herm
-from fdsec.metrics import Allocation, evaluate_qos, objective
+from fdsec.metrics import Allocation, evaluate_qos, link_model, objective
 from fdsec.problem import (
     BlockValues,
     ConicProblem,
@@ -140,6 +140,67 @@ class TestConstruction:
         monkeypatch.setattr(ConicProblem, "__post_init__", counted)
         evaluate_instance(SystemConfig(), 0, "optimal")
         assert len(calls) == 1
+
+
+BUILDERS = {
+    "optimal": build_optimal_problem,
+    "baseline1": lambda chan, cfg, rec: build_baseline_problem(chan, cfg, rec, "baseline1"),
+    "baseline2": lambda chan, cfg, rec: build_baseline_problem(chan, cfg, rec, "baseline2"),
+    "hd": build_hd_problem,
+}
+
+
+def coefficients_one_by_one(vmap, model, cfg):
+    """Per row label, its PSD coefficients, each from its own
+    ``hermitian_coeff`` call on the link model's terms."""
+    k = vmap.k_users
+    targets = np.concatenate([cfg.dl_sinr_targets, cfg.ul_sinr_targets])
+    out = {}
+    for label in vmap.row_index:
+        idx = [int(i) for i in label[3:-1].split(",")]
+        coeffs, outer = {}, None
+        if label[:2] in ("C1", "C2"):
+            r = idx[0] + (k if label[:2] == "C2" else 0)
+            outer = np.outer(model.vecs[r], model.vecs[r].conj())
+            coeffs = {b: hermitian_coeff(-outer) for b in range(k) if b != r}
+            if r < k:
+                coeffs[r] = hermitian_coeff(outer / targets[r])
+        elif label[:2] in ("C3", "C4"):
+            mm, r = idx
+            outer = np.outer(model.eves[mm], model.eves[mm].conj())
+            if label[:2] == "C3":
+                coeffs[r] = hermitian_coeff(outer / cfg.eve_sinr_cap)
+        if vmap.v_block is not None and outer is not None:
+            coeffs[vmap.v_block] = hermitian_coeff(-outer)
+        out[label] = coeffs
+    return out
+
+
+class TestSharedCoefficients:
+    @pytest.mark.parametrize("scheme", list(BUILDERS))
+    def test_shared_coefficients_match_one_by_one(self, scheme):
+        # a coefficient shared by several blocks or rows is the very array
+        # each of them would get from its own hermitian_coeff call
+        for cfg, seed in ((SystemConfig(), 0), (SystemConfig(), 1),
+                          (SystemConfig(n_antennas=4, n_dl=1, n_ul=1, n_idle=1), 2)):
+            chan, rec = scenario(cfg, seed)
+            prob, vmap = BUILDERS[scheme](chan, cfg, rec)
+            expected = coefficients_one_by_one(vmap, link_model(chan, rec), cfg)
+            for label, i in vmap.row_index.items():
+                got = prob.constraints[i].psd_coeffs
+                assert got.keys() == expected[label].keys()
+                assert all(np.array_equal(got[b], expected[label][b]) for b in got)
+            eye = hermitian_coeff(cfg.alpha * np.eye(cfg.n_antennas, dtype=complex))
+            assert all(np.array_equal(c, eye) for c in prob.objective_psd)
+
+    def test_coefficients_are_read_only(self):
+        cfg = SystemConfig()
+        chan, rec = scenario(cfg, 0)
+        prob, vmap = build_optimal_problem(chan, cfg, rec)
+        row = prob.constraints[vmap.row_index["C1[0]"]]
+        for coeff in (row.psd_coeffs[1], row.psd_coeffs[vmap.v_block], prob.objective_psd[0]):
+            with pytest.raises(ValueError, match="read-only"):
+                coeff[0, 0] = 1.0
 
 
 def embedded_activity(prob, values):
