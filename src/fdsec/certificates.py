@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .linalg import eigvals_herm, herm_eig, scipy_extension, scipy_extension_spec
-from .metrics import Allocation, link_model, objective, quad_forms, quad_table
+from .metrics import Allocation, objective, quad_forms, quad_table
 from .problem import recover_duals
 
 RANK_TOL = 1e-6
@@ -98,35 +98,34 @@ def _multiplier(report, vmap, label):
         raise CertificateUnavailableError(f"constraint {label} missing from the problem")
 
 
-def _an_patch_matrices(chan, si_vecs):
+def _an_patch_matrices(model):
     """Unit-trace AN columns the power polish adds for the optimal scheme.
 
     One rank-one direction per eavesdropper m along P l_m, where P projects
-    off the DL channels: it raises eavesdropper m's noise floor without
+    off the DL channels h: it raises eavesdropper m's noise floor without
     touching any DL SINR, but it reaches the UL SINRs through the
-    self-interference directions ``si_vecs``, so its feedback into the
-    powers is part of the LP of :func:`rebalance_powers`. When
-    N > K + J, also the projector off span{DL channels, si_vecs}, which
-    feeds nothing back into any power.
+    self-interference directions a_j, so its feedback into the powers is
+    part of the LP of :func:`rebalance_powers`. When N > K + J, also the
+    projector off span{h, a}, which feeds nothing back into any power.
     """
-    n = chan.h.shape[1]
+    k, n = model.k_users, model.vecs.shape[1]
     eye = np.eye(n, dtype=complex)
 
     def projector_off(vecs):
         if not len(vecs):
             return eye
-        q, _ = np.linalg.qr(np.array(vecs).T)
+        q, _ = np.linalg.qr(vecs.T)
         return eye - q @ q.conj().T
 
-    off_dl = projector_off(chan.h)
+    off_dl = projector_off(model.vecs[:k])
     patches = []
-    for l_vec in chan.l:
+    for l_vec in model.eves:
         u = off_dl @ l_vec
         norm2 = float(np.vdot(u, u).real)
         if norm2 > 1e-12 * float(np.vdot(l_vec, l_vec).real):
             patches.append(np.outer(u, u.conj()) / norm2)
-    if n > chan.h.shape[0] + len(si_vecs):
-        off_all = projector_off([*chan.h, *si_vecs])
+    if n > len(model.vecs):
+        off_all = projector_off(model.vecs)
         patches.append(off_all / float(np.trace(off_all).real))
     return patches
 
@@ -184,7 +183,7 @@ def _solution_ok(x, fun, slack):
                 or (x < -_LP_TOL).any() or (slack < -_LP_TOL).any())
 
 
-def rebalance_powers(alloc, chan, cfg, scheme):
+def rebalance_powers(alloc, model, cfg, scheme):
     """Exact power polish: one linear program along fixed directions.
 
     Each beam keeps the leading eigenvector of its raw matrix, so the
@@ -205,9 +204,8 @@ def rebalance_powers(alloc, chan, cfg, scheme):
     directions = [herm_eig(w_mat)[1][:, 0] for w_mat in alloc.W]
     tr_v = float(np.trace(alloc.V).real)
     cols = [alloc.V / tr_v] if tr_v > 0.0 else []
-    model = link_model(chan, alloc.receivers)
     if scheme == "optimal":
-        cols += _an_patch_matrices(chan, model.vecs[k_users:])
+        cols += _an_patch_matrices(model)
     cols = np.array(cols, dtype=complex).reshape(-1, n, n)
 
     unit = quad_table(Allocation(W=tuple(np.outer(d, d.conj()) for d in directions),
@@ -244,7 +242,7 @@ def rebalance_powers(alloc, chan, cfg, scheme):
     )
 
 
-def dual_certificate(report, chan, cfg, receivers, vmap, alloc):
+def dual_certificate(report, model, cfg, vmap, alloc):
     """Verify the tightness structure of a solved instance.
 
     Rebuilds each beam matrix's dual block from the multipliers of the
@@ -269,7 +267,6 @@ def dual_certificate(report, chan, cfg, receivers, vmap, alloc):
 
     # Y_k = alpha I + sum_{r != k} mu_r v_r v_r^H + sum_m lam_mk l_m l_m^H / gamma_tol
     #       - delta_k h_k h_k^H / gamma_k, and its positive part B_k
-    model = link_model(chan, receivers)
     v_outer = np.einsum("rn,rp->rnp", model.vecs, model.vecs.conj())
     l_outer = np.einsum("mn,mp->mnp", model.eves, model.eves.conj())
     weights = np.where(np.eye(k_users, mu.size, dtype=bool), 0.0, mu)  # [k, r]

@@ -67,6 +67,12 @@ class SystemConfig:
             raise ValueError("gamma_ul_req_db must have one entry per UL user")
         object.__setattr__(self, "gamma_dl_req_db", tuple(float(g) for g in self.gamma_dl_req_db))
         object.__setattr__(self, "gamma_ul_req_db", tuple(float(g) for g in self.gamma_ul_req_db))
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type in (float, tuple) and not np.isfinite(value).all():
+                raise ValueError(f"{f.name} must be finite, got {value}")
+        if not 0.0 < self.ref_distance_m <= self.max_distance_m:
+            raise ValueError("need 0 < ref_distance_m <= max_distance_m")
 
     @property
     def dl_sinr_targets(self):
@@ -172,9 +178,16 @@ def _link_gain_lin(cfg, d_m, bs_side):
     return float(db2lin(gain_db))
 
 
-def _cn(rng, *shape):
-    """Standard circularly-symmetric complex Gaussian draws."""
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+def _cn(re, im):
+    """Standard circularly-symmetric complex Gaussians from real and
+    imaginary standard normal draws."""
+    return (re + 1j * im) / np.sqrt(2.0)
+
+
+def _pair_amplitudes(cfg, tx_pos, rx_pos):
+    """Fading amplitude of each user-to-user link, (len(tx_pos), len(rx_pos))."""
+    return np.array([[np.sqrt(_link_gain_lin(cfg, np.linalg.norm(a - b), False)) for b in rx_pos]
+                     for a in tx_pos]).reshape(len(tx_pos), len(rx_pos))
 
 
 def sample_channels(cfg, geometry, seed):
@@ -185,36 +198,34 @@ def sample_channels(cfg, geometry, seed):
     self-interference channel is Rician with unit mean power scaled by the
     cancellation budget. Retries (logged) if the UL channel matrix is
     ill-conditioned, which matters only on a probability-zero event.
+
+    Each link group is drawn in one call, in the stream order of one draw
+    per link: a BS-side row takes its N real parts, then its N imaginary
+    parts, and a user-to-user link its real part, then its imaginary part.
+    The mean gains stay scalar: numpy's array ``power`` can differ from
+    the scalar one in the last bit.
     """
     n, k, j, m = cfg.n_antennas, cfg.n_dl, cfg.n_ul, cfg.n_idle
+    dists = np.concatenate([geometry.dl_dist, geometry.ul_dist, geometry.idle_dist])
+    bs_amp = np.array([np.sqrt(_link_gain_lin(cfg, d, True)) for d in dists])[:, np.newaxis]
+    f_amp = _pair_amplitudes(cfg, geometry.ul_pos, geometry.dl_pos)
+    t_amp = _pair_amplitudes(cfg, geometry.ul_pos, geometry.idle_pos)
     for attempt in range(MAX_RETRIES):
         rng = np.random.default_rng([int(seed), 1, attempt])
 
-        h = np.empty((k, n), dtype=complex)
-        for i in range(k):
-            h[i] = np.sqrt(_link_gain_lin(cfg, geometry.dl_dist[i], True)) * _cn(rng, n)
-        g = np.empty((j, n), dtype=complex)
-        for i in range(j):
-            g[i] = np.sqrt(_link_gain_lin(cfg, geometry.ul_dist[i], True)) * _cn(rng, n)
-        l = np.empty((m, n), dtype=complex)
-        for i in range(m):
-            l[i] = np.sqrt(_link_gain_lin(cfg, geometry.idle_dist[i], True)) * _cn(rng, n)
-
-        f = np.empty((j, k), dtype=complex)
-        for jj in range(j):
-            for kk in range(k):
-                d = np.linalg.norm(geometry.ul_pos[jj] - geometry.dl_pos[kk])
-                f[jj, kk] = np.sqrt(_link_gain_lin(cfg, d, False)) * _cn(rng)
-        t = np.empty((j, m), dtype=complex)
-        for jj in range(j):
-            for mm in range(m):
-                d = np.linalg.norm(geometry.ul_pos[jj] - geometry.idle_pos[mm])
-                t[jj, mm] = np.sqrt(_link_gain_lin(cfg, d, False)) * _cn(rng)
+        z = rng.standard_normal((k + j + m, 2, n))
+        bs = bs_amp * _cn(z[:, 0], z[:, 1])
+        h, g, l = bs[:k], bs[k:k + j], bs[k + j:]
+        z = rng.standard_normal((j, k, 2))
+        f = f_amp * _cn(z[..., 0], z[..., 1])
+        z = rng.standard_normal((j, m, 2))
+        t = t_amp * _cn(z[..., 0], z[..., 1])
 
         kappa = float(db2lin(cfg.rician_factor_db))
         los_phase = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
         los = np.sqrt(kappa / (1.0 + kappa)) * los_phase * np.ones((n, n))
-        nlos = np.sqrt(1.0 / (1.0 + kappa)) * _cn(rng, n, n)
+        z = rng.standard_normal((2, n, n))
+        nlos = np.sqrt(1.0 / (1.0 + kappa)) * _cn(z[0], z[1])
         h_si = np.sqrt(db2lin(cfg.si_cancellation_db)) * (los + nlos)
 
         sigma2_dl, sigma2_bs, sigma2_eve = noise_powers(cfg)

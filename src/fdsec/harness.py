@@ -117,12 +117,6 @@ class SweepSpec:
         return self.base_config.with_updates(n_antennas=int(value))
 
 
-def hd_precheck_fires(chan, cfg, receivers):
-    """Analytic infeasibility test for the no-AN probe: whether
-    :func:`hd_crossing` finds a crossing."""
-    return hd_crossing(link_model(chan, receivers), cfg) is not None
-
-
 def hd_crossing(model, cfg):
     """The widest (j, m) crossing of the no-AN probe's link model, or None.
 
@@ -196,30 +190,29 @@ def evaluate_batch(tasks):
 
 
 def _prepare(cfg, seed, scheme):
-    """Channel, receivers and conic problem of one task; for the
+    """Channel, receivers, link model and conic problem of one task; for the
     half-duplex probe also its precheck verdict and, when that fires, the
-    candidate ray, all read off one link model."""
+    candidate ray. Every later stage reads the one link model."""
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
     _, chan = realize(cfg, seed)
     receivers = zf_receivers(chan.g)
+    model = link_model(chan, receivers)
     precheck = ray = None
     if scheme == "optimal":
-        problem, vmap = build_optimal_problem(chan, cfg, receivers)
+        problem, vmap = build_optimal_problem(model, cfg)
     elif scheme == "hd":
-        model = link_model(chan, receivers)
-        problem, vmap = build_hd_problem(chan, cfg, receivers, model)
+        problem, vmap = build_hd_problem(model, cfg)
         crossing = hd_crossing(model, cfg)
         precheck = crossing is not None
         if precheck:
             ray = hd_ray(vmap, model, cfg, crossing)
     else:
-        problem, vmap = build_baseline_problem(chan, cfg, receivers, scheme)
+        problem, vmap = build_baseline_problem(model, cfg, scheme)
     return SimpleNamespace(
-        cfg=cfg, seed=seed, scheme=scheme, chan=chan,
-        receivers=receivers, problem=problem, vmap=vmap, report=None,
-        alloc=None, qos=None, rank=None, min_margin=float("nan"),
-        precheck=precheck, ray=ray,
+        cfg=cfg, seed=seed, scheme=scheme, chan=chan, receivers=receivers, model=model,
+        problem=problem, vmap=vmap, report=None, alloc=None, qos=None, rank=None,
+        min_margin=float("nan"), precheck=precheck, ray=ray,
     )
 
 
@@ -228,17 +221,17 @@ def _finish(out, report):
     out.report = report
     if out.scheme == "hd" or report.status != "optimal":
         return out
-    chan, cfg = out.chan, out.cfg
+    model, cfg = out.model, out.cfg
     raw = recover_allocation(report.primal, out.vmap, out.receivers)
-    polished = rebalance_powers(raw, chan, cfg, out.scheme)
-    qos = None if polished is None else evaluate_qos(polished, chan, cfg)
+    polished = rebalance_powers(raw, model, cfg, out.scheme)
+    qos = None if polished is None else evaluate_qos(polished, model, cfg)
     if qos is not None and qos.margins.worst() >= -2e-7:
         out.alloc = polished
     else:
-        out.alloc, qos = raw, evaluate_qos(raw, chan, cfg)
+        out.alloc, qos = raw, evaluate_qos(raw, model, cfg)
     out.qos = qos
     out.min_margin = qos.margins.worst()
-    out.rank = dual_certificate(report, chan, cfg, out.receivers, out.vmap, out.alloc)
+    out.rank = dual_certificate(report, model, cfg, out.vmap, out.alloc)
     return out
 
 

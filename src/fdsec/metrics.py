@@ -8,9 +8,10 @@ bounds (interference-free denominators) that the optimization constrains.
 The rows C1-C5 have two shapes: a link row (own signal over its target
 against interference, AN and noise) and an eavesdropper row (leakage over
 the cap against AN and noise). :func:`link_model` holds their channel
-terms, once per channel and receivers; the conic assembly of
-:mod:`fdsec.problem`, the dual certificate and the half-duplex precheck
-read it. One vectorized pass over it, :func:`quad_table`, computes every
+terms; a trial computes it once, and every later stage takes it in place
+of the channel and receivers: the conic assembly of :mod:`fdsec.problem`,
+the QoS, the power polish, the dual certificate and the half-duplex
+precheck. One vectorized pass over it, :func:`quad_table`, computes every
 term of the rows at an allocation. The SINRs, the eavesdropper bounds, the
 secrecy rates and the row margins with their activities all come from that
 table through :func:`evaluate_qos`, the one QoS entry point; the power
@@ -201,9 +202,10 @@ def objective(alloc, cfg):
     return cfg.alpha * dl_power(alloc) + cfg.beta * float(alloc.P.sum())
 
 
-def evaluate_qos(alloc, chan, cfg):
-    """Full QoS report for one allocation: the one QoS entry point."""
-    table = quad_table(alloc, link_model(chan, alloc.receivers))
+def evaluate_qos(alloc, model, cfg):
+    """Full QoS report for one allocation over a :class:`LinkModel`: the one
+    QoS entry point."""
+    table = quad_table(alloc, model)
     k = table.k_users
     sinrs, eve = table.sinrs(), table.eve_bounds()
     rates = _secrecy(sinrs, eve)

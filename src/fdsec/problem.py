@@ -3,11 +3,11 @@
 The relaxed problem is a linear objective over K+1 Hermitian PSD variables
 (DL beamforming matrices and the AN covariance) plus nonnegative UL powers,
 with one affine inequality per QoS constraint, read off the channel terms
-of :func:`fdsec.metrics.link_model`. Hermitian data is embedded
-into real symmetric blocks with a factor 1/2 so every linear functional
-keeps its complex-domain value, and reported powers stay physical. The
-embedding is private to this module: callers get Hermitian matrices back
-from :func:`recover_allocation` and :func:`recover_duals`.
+of the :class:`fdsec.metrics.LinkModel` that every builder takes. Hermitian
+data is embedded into real symmetric blocks with a factor 1/2 so every
+linear functional keeps its complex-domain value, and reported powers stay
+physical. The embedding is private to this module: callers get Hermitian
+matrices back from :func:`recover_allocation` and :func:`recover_duals`.
 
 Baseline schemes replace the AN covariance by a nonnegative power on a
 fixed unit-trace direction; the half-duplex probe removes it entirely.
@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .metrics import Allocation, link_model
+from .metrics import Allocation
 
 SENSES = (">=", "<=")
 
@@ -156,19 +156,10 @@ def recover_duals(report, vmap):
     return [2.0 * _unembed_hermitian(report.psd_duals[b], atol=1e-4) for b in vmap.w_blocks]
 
 
-def _check_dims(chan, cfg, receivers):
+def _assemble(model, cfg, an_mode, direction=None):
     n, k, j, m = cfg.n_antennas, cfg.n_dl, cfg.n_ul, cfg.n_idle
-    if chan.h.shape != (k, n) or chan.g.shape != (j, n) or chan.l.shape != (m, n):
-        raise ValueError("channel dimensions do not match the configuration")
-    if receivers.r.shape != (j, n):
-        raise ValueError("receiver dimensions do not match the configuration")
-    return n, k, j, m
-
-
-def _assemble(chan, cfg, receivers, an_mode, direction=None, model=None):
-    n, k, j, m = _check_dims(chan, cfg, receivers)
-    if model is None:
-        model = link_model(chan, receivers)
+    if (model.k_users, model.vecs.shape, model.eves.shape) != (k, (k + j, n), (m, n)):
+        raise ValueError("link model dimensions do not match the configuration")
     targets = np.concatenate([cfg.dl_sinr_targets, cfg.ul_sinr_targets])
     gamma_tol = cfg.eve_sinr_cap
 
@@ -246,22 +237,23 @@ def _assemble(chan, cfg, receivers, an_mode, direction=None, model=None):
     return problem, vmap
 
 
-def build_optimal_problem(chan, cfg, receivers):
+def build_optimal_problem(model, cfg):
     """Relaxed joint design with a fully optimized AN covariance."""
-    return _assemble(chan, cfg, receivers, "matrix")
+    return _assemble(model, cfg, "matrix")
 
 
-def an_direction(chan, scheme, n):
+def an_direction(model, scheme):
     """Unit-trace AN covariance direction used by the baseline schemes.
 
     baseline1 beams the noise at the idle users' subspace. With no idle
     user no constraint rewards AN, so its power optimises to zero along any
     direction; baseline1 then uses the isotropic one.
     """
+    n = model.vecs.shape[1]
     if scheme == "baseline1":
-        if chan.l.shape[0] == 0:
+        if model.eves.shape[0] == 0:
             return np.eye(n, dtype=complex) / n
-        stack = chan.l.T  # columns l_1..l_M
+        stack = model.eves.T  # columns l_1..l_M
         d = stack @ stack.conj().T
         return d / float(np.trace(d).real)
     if scheme == "baseline2":
@@ -269,17 +261,14 @@ def an_direction(chan, scheme, n):
     raise ValueError(f"unknown baseline scheme {scheme!r}")
 
 
-def build_baseline_problem(chan, cfg, receivers, scheme):
+def build_baseline_problem(model, cfg, scheme):
     """Same constraint system with AN restricted to a fixed direction."""
-    direction = an_direction(chan, scheme, cfg.n_antennas)
-    return _assemble(chan, cfg, receivers, "direction", direction=direction)
+    return _assemble(model, cfg, "direction", direction=an_direction(model, scheme))
 
 
-def build_hd_problem(chan, cfg, receivers, model=None):
-    """Probe with artificial noise forced to zero (half-duplex style BS);
-    ``model`` is the channel's :func:`fdsec.metrics.link_model`, computed
-    here when not given."""
-    return _assemble(chan, cfg, receivers, "none", model=model)
+def build_hd_problem(model, cfg):
+    """Probe with artificial noise forced to zero (half-duplex style BS)."""
+    return _assemble(model, cfg, "none")
 
 
 def recover_allocation(values, vmap, receivers):

@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 
+from fdsec.channel import MAX_RETRIES, ChannelRealization, _link_gain_lin, db2lin, noise_powers
 from fdsec.problem import BlockValues, ConicProblem, LinearConstraint, _embed_real
 
 
@@ -252,3 +253,54 @@ def scaled_rows_all(st, scal):
             atil[:, :, cols] = grp.svec(prod)
     atil[:, :, lay.n_sv:] = st.a[:, :, lay.n_sv:] * scal.w_orth[:, np.newaxis, :]
     return atil
+
+
+def _cn_draw(rng, *shape):
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+
+
+def sample_channels_per_link(cfg, geometry, seed):
+    """Reference for :func:`fdsec.channel.sample_channels`: one draw per link,
+    in a Python loop, so its arrays fix the random stream bit for bit."""
+    n, k, j, m = cfg.n_antennas, cfg.n_dl, cfg.n_ul, cfg.n_idle
+    for attempt in range(MAX_RETRIES):
+        rng = np.random.default_rng([int(seed), 1, attempt])
+
+        h = np.empty((k, n), dtype=complex)
+        for i in range(k):
+            h[i] = np.sqrt(_link_gain_lin(cfg, geometry.dl_dist[i], True)) * _cn_draw(rng, n)
+        g = np.empty((j, n), dtype=complex)
+        for i in range(j):
+            g[i] = np.sqrt(_link_gain_lin(cfg, geometry.ul_dist[i], True)) * _cn_draw(rng, n)
+        l = np.empty((m, n), dtype=complex)
+        for i in range(m):
+            l[i] = np.sqrt(_link_gain_lin(cfg, geometry.idle_dist[i], True)) * _cn_draw(rng, n)
+
+        f = np.empty((j, k), dtype=complex)
+        for jj in range(j):
+            for kk in range(k):
+                d = np.linalg.norm(geometry.ul_pos[jj] - geometry.dl_pos[kk])
+                f[jj, kk] = np.sqrt(_link_gain_lin(cfg, d, False)) * _cn_draw(rng)
+        t = np.empty((j, m), dtype=complex)
+        for jj in range(j):
+            for mm in range(m):
+                d = np.linalg.norm(geometry.ul_pos[jj] - geometry.idle_pos[mm])
+                t[jj, mm] = np.sqrt(_link_gain_lin(cfg, d, False)) * _cn_draw(rng)
+
+        kappa = float(db2lin(cfg.rician_factor_db))
+        los_phase = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+        los = np.sqrt(kappa / (1.0 + kappa)) * los_phase * np.ones((n, n))
+        nlos = np.sqrt(1.0 / (1.0 + kappa)) * _cn_draw(rng, n, n)
+        h_si = np.sqrt(db2lin(cfg.si_cancellation_db)) * (los + nlos)
+
+        sigma2_dl, sigma2_bs, sigma2_eve = noise_powers(cfg)
+
+        if j > 1:
+            gram = np.abs(np.linalg.eigvalsh(g.conj() @ g.T))
+            if np.sqrt(gram.max() / max(gram.min(), 1e-300)) > 1e10:
+                continue
+        return ChannelRealization(
+            h=h, g=g, l=l, f=f, t=t, h_si=h_si,
+            sigma2_dl=sigma2_dl, sigma2_bs=sigma2_bs, sigma2_eve=sigma2_eve,
+        )
+    raise RuntimeError(f"no well-conditioned UL channels after {MAX_RETRIES} attempts")

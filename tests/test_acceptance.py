@@ -18,10 +18,11 @@ from fdsec.channel import SystemConfig, realize
 from fdsec.harness import (
     SweepSpec,
     evaluate_instance,
-    hd_precheck_fires,
+    hd_crossing,
     run_trials,
     sweep,
 )
+from fdsec.metrics import link_model
 from fdsec.problem import (
     ConicProblem,
     build_hd_problem,
@@ -108,7 +109,7 @@ class TestCriterion1ClosedForm:
             t0 = time.perf_counter()
             _, chan = realize(cfg, seed)
             receivers = zf_receivers(chan.g)
-            problem, vmap = build_optimal_problem(chan, cfg, receivers)
+            problem, vmap = build_optimal_problem(link_model(chan, receivers), cfg)
             report = solve(problem)
             solve_time = time.perf_counter() - t0
             assert solve_time < 1.0, f"closed-form instance took {solve_time:.2f} s"
@@ -118,7 +119,7 @@ class TestCriterion1ClosedForm:
             rel = abs(report.primal_obj - expected) / expected
             assert rel <= 1e-5, f"objective off by {rel:.2e} (tol 1e-5)"
             alloc = recover_allocation(report.primal, vmap, receivers)
-            rank = dual_certificate(report, chan, cfg, receivers, vmap, alloc)
+            rank = dual_certificate(report, link_model(chan, receivers), cfg, vmap, alloc)
             assert rank.ranks[0] == 1 and rank.eig_ratios[0] <= 1e-6
             align = abs(np.vdot(rank.w[0], h)) / (np.linalg.norm(rank.w[0]) * np.linalg.norm(h))
             assert align >= 1 - 1e-5, f"beam not parallel to the channel ({align})"
@@ -318,7 +319,7 @@ class TestCriterion7HdInfeasibility:
         while len(firing_seeds) < 100 and seed < 600:
             _, chan = realize(cfg, seed)
             receivers = zf_receivers(chan.g)
-            if hd_precheck_fires(chan, cfg, receivers):
+            if hd_crossing(link_model(chan, receivers), cfg) is not None:
                 firing_seeds.append(seed)
             seed += 1
         assert len(firing_seeds) >= 100, "could not find 100 firing drops"
@@ -326,7 +327,8 @@ class TestCriterion7HdInfeasibility:
         verdicts = []
         for seed in firing_seeds:
             _, chan = realize(cfg, seed)
-            verdicts.append(solve(build_hd_problem(chan, cfg, zf_receivers(chan.g))[0]).status)
+            problem = build_hd_problem(link_model(chan, zf_receivers(chan.g)), cfg)[0]
+            verdicts.append(solve(problem).status)
         agreeing = sum(v == "primal_infeasible" for v in verdicts)
         assert agreeing == len(firing_seeds), (
             f"{agreeing}/{len(firing_seeds)} infeasible verdicts; "
@@ -361,7 +363,7 @@ class TestCriterion8SolverSuite:
         cfg = SystemConfig()
         _, chan = realize(cfg, 2)
         receivers = zf_receivers(chan.g)
-        problem, _ = build_optimal_problem(chan, cfg, receivers)
+        problem, _ = build_optimal_problem(link_model(chan, receivers), cfg)
         rep = solve(problem)
         assert rep.status == "optimal"
         for e in rep.iter_log:
@@ -374,7 +376,7 @@ class TestCriterion8SolverSuite:
         cfg = SystemConfig()
         _, chan = realize(cfg, 3)
         receivers = zf_receivers(chan.g)
-        problem, _ = build_optimal_problem(chan, cfg, receivers)
+        problem, _ = build_optimal_problem(link_model(chan, receivers), cfg)
         rep = solve(problem)
         rng = np.random.default_rng(1)
         perm = rng.permutation(len(problem.constraints))
@@ -393,7 +395,7 @@ class TestCriterion8SolverSuite:
         cfg = SystemConfig()
         _, chan = realize(cfg, 0)
         receivers = zf_receivers(chan.g)
-        problem, _ = build_optimal_problem(chan, cfg, receivers)
+        problem, _ = build_optimal_problem(link_model(chan, receivers), cfg)
         assert len(problem.constraints) == 57
         t0 = time.perf_counter()
         rep = solve(problem)

@@ -14,7 +14,7 @@ from fdsec.certificates import (
 )
 from fdsec.channel import SystemConfig, realize
 from fdsec.harness import evaluate_instance
-from fdsec.metrics import Allocation, evaluate_qos
+from fdsec.metrics import Allocation, evaluate_qos, link_model
 from fdsec.problem import (
     build_baseline_problem,
     build_optimal_problem,
@@ -31,7 +31,7 @@ def random_complex(rng, *shape):
 def solved_instance(cfg, seed):
     _, chan = realize(cfg, seed)
     rec = zf_receivers(chan.g)
-    prob, vmap = build_optimal_problem(chan, cfg, rec)
+    prob, vmap = build_optimal_problem(link_model(chan, rec), cfg)
     rep = solve(prob)
     return chan, rec, prob, vmap, rep
 
@@ -75,7 +75,7 @@ class TestDegenerateClosedForm:
         chan, rec, prob, vmap, rep = solved_instance(cfg, 0)
         assert rep.status == "optimal"
         raw = recover_allocation(rep.primal, vmap, rec)
-        report = dual_certificate(rep, chan, cfg, rec, vmap, raw)
+        report = dual_certificate(rep, link_model(chan, rec), cfg, vmap, raw)
         assert report.certificate_pass
         gamma = cfg.dl_sinr_targets[0]
         h = chan.h[0]
@@ -97,7 +97,7 @@ class TestDegenerateClosedForm:
         if rep.status != "optimal":
             raw = recover_allocation(rep.primal, vmap, rec)
             with pytest.raises(CertificateUnavailableError):
-                dual_certificate(rep, chan, cfg, rec, vmap, raw)
+                dual_certificate(rep, link_model(chan, rec), cfg, vmap, raw)
 
 
 def rebuild_dual_block(rep, chan, cfg, rec, vmap, k):
@@ -124,7 +124,7 @@ class TestSolvedInstances:
         chan, rec, prob, vmap, rep = solved_instance(cfg, seed)
         assert rep.status == "optimal"
         alloc = recover_allocation(rep.primal, vmap, rec)
-        report = dual_certificate(rep, chan, cfg, rec, vmap, alloc)
+        report = dual_certificate(rep, link_model(chan, rec), cfg, vmap, alloc)
         assert report.certificate_pass
         assert np.all(report.eig_ratios <= 1e-6)
         assert np.all(report.b_min_eig > 0)
@@ -144,7 +144,7 @@ class TestSolvedInstances:
         cfg = SystemConfig()
         chan, rec, prob, vmap, rep = solved_instance(cfg, 1)
         alloc = recover_allocation(rep.primal, vmap, rec)
-        report = dual_certificate(rep, chan, cfg, rec, vmap, alloc)
+        report = dual_certificate(rep, link_model(chan, rec), cfg, vmap, alloc)
         assert report.certificate_pass
         power_from_vectors = sum(np.linalg.norm(w) ** 2 for w in report.w)
         obj = cfg.alpha * (power_from_vectors + np.trace(alloc.V).real) + cfg.beta * alloc.P.sum()
@@ -168,7 +168,7 @@ class TestDualBlocksAgainstAssembly:
         cfg = SystemConfig(n_antennas=n, n_dl=k, n_ul=j, n_idle=m)
         _, chan = realize(cfg, seed)
         rec = zf_receivers(chan.g)
-        prob, vmap = build_optimal_problem(chan, cfg, rec)
+        prob, vmap = build_optimal_problem(link_model(chan, rec), cfg)
         rng = np.random.default_rng(seed)
         # each row's term in the dual block is of order one
         peaks = np.array([max((np.abs(c).max() for c in con.psd_coeffs.values()), default=1.0)
@@ -187,7 +187,7 @@ class TestDualBlocksAgainstAssembly:
         beams = [random_complex(rng, n) for _ in range(k)]
         alloc = Allocation(W=tuple(np.outer(w, w.conj()) for w in beams),
                            V=np.eye(n, dtype=complex), P=np.ones(j), receivers=rec)
-        cert = dual_certificate(report, chan, cfg, rec, vmap, alloc=alloc)
+        cert = dual_certificate(report, link_model(chan, rec), cfg, vmap, alloc=alloc)
         assert cert.y_consistency.shape == (k,)
         assert np.all(cert.y_consistency <= 1e-12)
 
@@ -195,7 +195,7 @@ class TestDualBlocksAgainstAssembly:
 def assert_pinned_and_capped(prob, vmap, chan, cfg, polished):
     """C1/C2 met with equality to row scale, every C3/C4 cap held."""
     values = allocation_to_blocks(polished, vmap)
-    margins = evaluate_qos(polished, chan, cfg).margins
+    margins = evaluate_qos(polished, link_model(chan, polished.receivers), cfg).margins
     activity = np.concatenate(margins.activity[:2])
     for (label, row), scale in zip(rows(vmap, "C1") + rows(vmap, "C2"), activity):
         con = prob.constraints[row]
@@ -218,21 +218,22 @@ class TestRebalancePowers:
     def test_joint_patch_pins_targets_and_holds_caps(self, cfg, seed):
         chan, rec, prob, vmap, rep = solved_instance(cfg, seed)
         assert rep.status == "optimal"
-        polished = rebalance_powers(recover_allocation(rep.primal, vmap, rec), chan, cfg, "optimal")
+        polished = rebalance_powers(recover_allocation(rep.primal, vmap, rec),
+                                    link_model(chan, rec), cfg, "optimal")
         assert polished is not None
         assert_pinned_and_capped(prob, vmap, chan, cfg, polished)
-        report = dual_certificate(rep, chan, cfg, rec, vmap, alloc=polished)
+        report = dual_certificate(rep, link_model(chan, rec), cfg, vmap, alloc=polished)
         assert report.certificate_pass
 
     def test_scale_patch_stays_on_baseline_direction(self):
         cfg = SystemConfig(n_antennas=6, n_dl=2, n_ul=2, n_idle=1, gamma_dl_req_default_db=24.0)
         _, chan = realize(cfg, 10)
         rec = zf_receivers(chan.g)
-        prob, vmap = build_baseline_problem(chan, cfg, rec, "baseline1")
+        prob, vmap = build_baseline_problem(link_model(chan, rec), cfg, "baseline1")
         rep = solve(prob)
         assert rep.status == "optimal"
         raw = recover_allocation(rep.primal, vmap, rec)
-        polished = rebalance_powers(raw, chan, cfg, "baseline1")
+        polished = rebalance_powers(raw, link_model(chan, raw.receivers), cfg, "baseline1")
         assert polished is not None
         # allocation_to_blocks raises if V left the baseline direction
         assert_pinned_and_capped(prob, vmap, chan, cfg, polished)

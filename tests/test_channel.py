@@ -13,6 +13,7 @@ from fdsec.channel import (
     sample_channels,
     watt2dbm,
 )
+from oracles import sample_channels_per_link
 
 SMALL = SystemConfig(n_antennas=4, n_dl=1, n_ul=1, n_idle=1)
 
@@ -37,6 +38,19 @@ class TestConfig:
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):
             SystemConfig(alpha=-1.0)
+
+    def test_non_finite_values_rejected(self):
+        nan = float("nan")
+        for bad in (dict(alpha=nan), dict(gamma_tol_db=nan), dict(carrier_hz=float("inf")),
+                    dict(gamma_ul_req_db=(10.0, nan, 10.0))):
+            with pytest.raises(ValueError, match="finite"):
+                SystemConfig(**bad)
+
+    def test_distance_range_checked(self):
+        for ref in (0.0, -1.0, 600.0):
+            with pytest.raises(ValueError, match="ref_distance_m"):
+                SystemConfig(ref_distance_m=ref)
+        assert SystemConfig(ref_distance_m=500.0).ref_distance_m == 500.0
 
     def test_per_user_targets(self):
         cfg = SystemConfig(n_antennas=4, n_dl=2, n_ul=1, n_idle=1, gamma_dl_req_db=(6.0, 9.0))
@@ -111,6 +125,23 @@ class TestChannels:
         for name in ("h", "g", "l", "f", "t", "h_si"):
             assert np.array_equal(getattr(chan_a, name), getattr(chan_b, name))
         assert np.array_equal(geom_a.ul_pos, geom_b.ul_pos)
+
+    def test_stream_matches_per_link_draws(self):
+        # each link group is drawn in one call; the arrays equal, byte for
+        # byte, those of one draw per link in the order the links are listed
+        configs = (SystemConfig(), SystemConfig(n_antennas=6, n_dl=2, n_ul=2, n_idle=1),
+                   SystemConfig(n_antennas=4, n_dl=2, n_ul=0, n_idle=2),
+                   SystemConfig(n_antennas=4, n_dl=2, n_ul=2, n_idle=0),
+                   SystemConfig(n_antennas=4, n_dl=1, n_ul=1, n_idle=1),
+                   SystemConfig(n_antennas=3, n_dl=2, n_ul=2, n_idle=1))
+        for cfg in configs:
+            for seed in range(50):
+                geom = drop_geometry(cfg, seed)
+                got = sample_channels(cfg, geom, seed)
+                want = sample_channels_per_link(cfg, geom, seed)
+                for name in ("h", "g", "l", "f", "t", "h_si"):
+                    a, b = getattr(got, name), getattr(want, name)
+                    assert a.shape == b.shape and a.tobytes() == b.tobytes(), (cfg, seed, name)
 
     def test_si_moment(self):
         cfg = SMALL

@@ -27,7 +27,7 @@ from fdsec.harness import (
     _tasks,
     evaluate_batch,
     evaluate_instance,
-    hd_precheck_fires,
+    hd_crossing,
     load_config,
     run_trial,
     run_trials,
@@ -40,6 +40,7 @@ from fdsec.harness import (
     write_sweep_dat,
     write_trials_csv,
 )
+from fdsec.metrics import link_model
 from fdsec.problem import build_hd_problem, recover_allocation
 from fdsec.receivers import zf_receivers
 from fdsec.solver import _farkas_rays, _Stack, _StandardForm, ray_report, solve
@@ -170,7 +171,7 @@ class TestPolish:
         inst = evaluate_instance(cfg, seed, scheme)
         assert inst.report.status == "optimal"
         raw = recover_allocation(inst.report.primal, inst.vmap, inst.receivers)
-        polished = rebalance_powers(raw, inst.chan, cfg, scheme)
+        polished = rebalance_powers(raw, inst.model, cfg, scheme)
         assert polished is not None
         assert np.array_equal(inst.alloc.P, polished.P)
         assert all(np.array_equal(a, b) for a, b in zip(inst.alloc.W, polished.W))
@@ -210,10 +211,11 @@ class TestHdPrecheck:
         for seed in range(6):
             _, chan = realize(cfg, seed)
             rec = zf_receivers(chan.g)
-            if hd_precheck_fires(chan, cfg, rec):
+            if hd_crossing(link_model(chan, rec), cfg) is not None:
                 fired += 1
                 # the IPM's own verdict: run_trial decides the drop by its ray
-                assert solve(build_hd_problem(chan, cfg, rec)[0]).status == "primal_infeasible"
+                problem = build_hd_problem(link_model(chan, rec), cfg)[0]
+                assert solve(problem).status == "primal_infeasible"
                 r = run_trial(cfg, seed, "hd")
                 assert r.hd_precheck_infeasible
                 assert r.status == "primal_infeasible" and r.iterations == 0
@@ -224,13 +226,14 @@ class TestHdPrecheck:
         cfg = hd_config(dims, gamma_ul_db)
         _, chan = realize(cfg, seed)
         rec = zf_receivers(chan.g)
-        assert hd_precheck_fires(chan, cfg, rec) is checks.ul_precheck(chan, cfg, rec.r)
+        fires = hd_crossing(link_model(chan, rec), cfg) is not None
+        assert fires is checks.ul_precheck(chan, cfg, rec.r)
 
     def test_no_idle_users_never_fires(self):
         cfg = SystemConfig(n_antennas=4, n_dl=1, n_ul=1, n_idle=0)
         _, chan = realize(cfg, 0)
         rec = zf_receivers(chan.g)
-        assert hd_precheck_fires(chan, cfg, rec) is False
+        assert hd_crossing(link_model(chan, rec), cfg) is None
 
 
 def halve_c4(vmap, y):
@@ -730,6 +733,20 @@ class TestCli:
         assert not out.exists()
         proc = self.run_cli("trial", "--seed", "-1", "--out", str(out))
         assert proc.returncode == 2 and "Traceback" not in proc.stderr
+        assert not out.exists()
+
+    def test_config_values_that_would_crash_a_trial_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        for line, named in (("alpha = nan", "finite"), ("gamma_tol_db = nan", "finite"),
+                            ("ref_distance_m = 600", "ref_distance_m")):
+            cfg = tmp_path / "bad.cfg"
+            cfg.write_text(line + "\n")
+            for argv in (["trial"], ["sweep", "--sweep", "gamma_dl", "--values", "6"]):
+                with pytest.raises(SystemExit) as exc:
+                    main(argv + ["--config", str(cfg), "--out", str(out)])
+                err = capsys.readouterr().err
+                assert exc.value.code == 2, line
+                assert "--config" in err and named in err and "Traceback" not in err
         assert not out.exists()
 
     def test_summarize_without_trials_csv_exits_2(self, tmp_path, capsys):

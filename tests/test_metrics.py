@@ -200,7 +200,8 @@ class TestSecrecy:
         w_mat = np.outer(w, w.conj())
         scale = chan.sigma2_eve[0] / quad(l_vec, w_mat)  # eve SINR 1 -> rate 1
         alloc = Allocation(W=(scale * w_mat,), V=np.zeros((n, n), dtype=complex), P=np.zeros(0), receivers=rec)
-        qos = evaluate_qos(alloc, chan, SystemConfig(n_antennas=n, n_dl=1, n_ul=0, n_idle=1))
+        qos = evaluate_qos(alloc, link_model(chan, rec),
+                           SystemConfig(n_antennas=n, n_dl=1, n_ul=0, n_idle=1))
         legit = np.log2(1 + qos.dl_sinr[0])
         assert qos.dl_secrecy[0] == pytest.approx(legit - 1.0, rel=1e-12)
 
@@ -217,7 +218,8 @@ class TestSecrecy:
         rec = ReceiverSet(r=np.zeros((0, n), dtype=complex))
         w = random_complex(rng, n)
         alloc = Allocation(W=(np.outer(w, w.conj()),), V=np.zeros((n, n), dtype=complex), P=np.zeros(0), receivers=rec)
-        qos = evaluate_qos(alloc, chan, SystemConfig(n_antennas=n, n_dl=1, n_ul=0, n_idle=1))
+        qos = evaluate_qos(alloc, link_model(chan, rec),
+                           SystemConfig(n_antennas=n, n_dl=1, n_ul=0, n_idle=1))
         assert qos.dl_secrecy[0] == 0.0
 
     def test_phase_invariance(self):
@@ -232,8 +234,8 @@ class TestSecrecy:
         )
         alloc_rot = Allocation(W=rotated, V=alloc.V, P=alloc.P, receivers=rec)
         cfg = SystemConfig(n_antennas=n, n_dl=k, n_ul=j, n_idle=m)
-        a = evaluate_qos(alloc, chan, cfg)
-        b = evaluate_qos(alloc_rot, chan, cfg)
+        a = evaluate_qos(alloc, link_model(chan, alloc.receivers), cfg)
+        b = evaluate_qos(alloc_rot, link_model(chan, alloc_rot.receivers), cfg)
         assert np.allclose(a.dl_secrecy, b.dl_secrecy, rtol=1e-10)
         assert np.allclose(a.ul_secrecy, b.ul_secrecy, rtol=1e-10)
 
@@ -259,7 +261,7 @@ class TestObjectiveAndMargins:
         rec = zf_receivers(chan.g)
         zero = np.zeros((n, n), dtype=complex)
         alloc = Allocation(W=(zero, zero), V=zero, P=np.zeros(j), receivers=rec)
-        margins = evaluate_qos(alloc, chan, cfg).margins
+        margins = evaluate_qos(alloc, link_model(chan, alloc.receivers), cfg).margins
         assert np.all(margins.c1 < 0) and np.all(margins.c2 < 0)
         assert np.all(margins.c3 > 0) and np.all(margins.c4 > 0)
         assert np.all(margins.c5 == 0)
@@ -275,8 +277,8 @@ class TestObjectiveAndMargins:
         tiny_v = 1e-4 * np.eye(n)
         one = Allocation(W=(w_mat,), V=tiny_v, P=np.zeros(0), receivers=rec)
         two = Allocation(W=(2 * w_mat,), V=2 * tiny_v, P=np.zeros(0), receivers=rec)
-        m1 = evaluate_qos(one, chan, cfg).margins
-        m2 = evaluate_qos(two, chan, cfg).margins
+        m1 = evaluate_qos(one, link_model(chan, one.receivers), cfg).margins
+        m2 = evaluate_qos(two, link_model(chan, two.receivers), cfg).margins
         assert m2.c1[0] > m1.c1[0]
 
     def test_csv_round(self):
@@ -286,7 +288,7 @@ class TestObjectiveAndMargins:
         chan = make_chan(n, k, j, m, rng)
         rec = zf_receivers(chan.g)
         alloc, _, _ = rank_one_alloc(n, k, j, rng, rec)
-        report = evaluate_qos(alloc, chan, cfg)
+        report = evaluate_qos(alloc, link_model(chan, alloc.receivers), cfg)
         header = qos_csv_header(k, j, m)
         row = qos_csv_fields(report)
         assert list(row) == header

@@ -60,7 +60,7 @@ class TestCounting:
     def test_small(self):
         cfg = SystemConfig(n_antennas=4, n_dl=1, n_ul=1, n_idle=1)
         chan, rec = scenario(cfg, 0)
-        prob, vmap = build_optimal_problem(chan, cfg, rec)
+        prob, vmap = build_optimal_problem(link_model(chan, rec), cfg)
         assert len(prob.psd_dims) == 2
         assert prob.psd_dims == (8, 8)
         assert len(prob.constraints) == 5
@@ -69,7 +69,7 @@ class TestCounting:
     def test_paper_scenario(self):
         cfg = SystemConfig()  # N=8, K=6, J=3, M=5
         chan, rec = scenario(cfg, 0)
-        prob, vmap = build_optimal_problem(chan, cfg, rec)
+        prob, vmap = build_optimal_problem(link_model(chan, rec), cfg)
         assert len(prob.psd_dims) == 7
         assert all(d == 16 for d in prob.psd_dims)
         # 6 + 3 + 30 + 15 + 3
@@ -83,7 +83,7 @@ class TestCounting:
         chan, rec = scenario(cfg, 0)
         other = SystemConfig(n_antennas=4, n_dl=2, n_ul=1, n_idle=1)
         with pytest.raises(ValueError):
-            build_optimal_problem(chan, other, rec)
+            build_optimal_problem(link_model(chan, rec), other)
 
 
 def one_row_program(row=(), **fields):
@@ -144,8 +144,8 @@ class TestConstruction:
 
 BUILDERS = {
     "optimal": build_optimal_problem,
-    "baseline1": lambda chan, cfg, rec: build_baseline_problem(chan, cfg, rec, "baseline1"),
-    "baseline2": lambda chan, cfg, rec: build_baseline_problem(chan, cfg, rec, "baseline2"),
+    "baseline1": lambda model, cfg: build_baseline_problem(model, cfg, "baseline1"),
+    "baseline2": lambda model, cfg: build_baseline_problem(model, cfg, "baseline2"),
     "hd": build_hd_problem,
 }
 
@@ -184,7 +184,7 @@ class TestSharedCoefficients:
         for cfg, seed in ((SystemConfig(), 0), (SystemConfig(), 1),
                           (SystemConfig(n_antennas=4, n_dl=1, n_ul=1, n_idle=1), 2)):
             chan, rec = scenario(cfg, seed)
-            prob, vmap = BUILDERS[scheme](chan, cfg, rec)
+            prob, vmap = BUILDERS[scheme](link_model(chan, rec), cfg)
             expected = coefficients_one_by_one(vmap, link_model(chan, rec), cfg)
             for label, i in vmap.row_index.items():
                 got = prob.constraints[i].psd_coeffs
@@ -196,7 +196,7 @@ class TestSharedCoefficients:
     def test_coefficients_are_read_only(self):
         cfg = SystemConfig()
         chan, rec = scenario(cfg, 0)
-        prob, vmap = build_optimal_problem(chan, cfg, rec)
+        prob, vmap = build_optimal_problem(link_model(chan, rec), cfg)
         row = prob.constraints[vmap.row_index["C1[0]"]]
         for coeff in (row.psd_coeffs[1], row.psd_coeffs[vmap.v_block], prob.objective_psd[0]):
             with pytest.raises(ValueError, match="read-only"):
@@ -219,11 +219,11 @@ class TestFunctionalEquality:
         rng = np.random.default_rng(100 + seed)
         cfg = SystemConfig(n_antennas=6, n_dl=3, n_ul=2, n_idle=2)
         chan, rec = scenario(cfg, seed)
-        prob, vmap = build_optimal_problem(chan, cfg, rec)
+        prob, vmap = build_optimal_problem(link_model(chan, rec), cfg)
         alloc = random_rank_one_alloc(rng, cfg, rec)
         values = allocation_to_blocks(alloc, vmap)
         slacks = oracles.slacks(prob, values)
-        margins = evaluate_qos(alloc, chan, cfg).margins
+        margins = evaluate_qos(alloc, link_model(chan, alloc.receivers), cfg).margins
         analytic = np.concatenate(
             [margins.c1, margins.c2, margins.c3.ravel(), margins.c4.ravel(), margins.c5]
         )
@@ -247,15 +247,15 @@ class TestFunctionalEquality:
         chan, rec = scenario(cfg, seed)
         alloc = random_rank_one_alloc(np.random.default_rng(seed), cfg, rec)
         if an_mode == "matrix":
-            prob, vmap = build_optimal_problem(chan, cfg, rec)
+            prob, vmap = build_optimal_problem(link_model(chan, rec), cfg)
         elif an_mode == "direction":
-            prob, vmap = build_baseline_problem(chan, cfg, rec, "baseline1")
+            prob, vmap = build_baseline_problem(link_model(chan, rec), cfg, "baseline1")
             alloc = replace(alloc, V=np.trace(alloc.V).real * vmap.v_direction)
         else:
-            prob, vmap = build_hd_problem(chan, cfg, rec)
+            prob, vmap = build_hd_problem(link_model(chan, rec), cfg)
             alloc = replace(alloc, V=np.zeros((n, n), dtype=complex))
         values = allocation_to_blocks(alloc, vmap)
-        margins = evaluate_qos(alloc, chan, cfg).margins
+        margins = evaluate_qos(alloc, link_model(chan, alloc.receivers), cfg).margins
         assert [c.shape for c in (margins.c1, margins.c2, margins.c3, margins.c4, margins.c5)] \
             == [(k,), (j,), (m, k), (m, j), (j,)]
         assert [a.shape for a in margins.activity] == [(k,), (j,), (m, k), (m, j), (j,)]
@@ -270,7 +270,7 @@ class TestFunctionalEquality:
         rng = np.random.default_rng(7)
         cfg = SystemConfig(n_antennas=5, n_dl=2, n_ul=2, n_idle=2, alpha=1.3, beta=0.7)
         chan, rec = scenario(cfg, 3)
-        prob, vmap = build_optimal_problem(chan, cfg, rec)
+        prob, vmap = build_optimal_problem(link_model(chan, rec), cfg)
         alloc = random_rank_one_alloc(rng, cfg, rec)
         values = allocation_to_blocks(alloc, vmap)
         assert oracles.objective_value(prob, values) == pytest.approx(objective(alloc, cfg),
@@ -282,14 +282,14 @@ class TestBaselines:
         cfg = SystemConfig()
         chan, rec = scenario(cfg, 1)
         for scheme in ("baseline1", "baseline2"):
-            d = an_direction(chan, scheme, cfg.n_antennas)
+            d = an_direction(link_model(chan, rec), scheme)
             assert np.trace(d).real == pytest.approx(1.0)
             assert np.linalg.eigvalsh(d)[0] >= -1e-12
 
     def test_baseline1_single_idle_rank_one(self):
         cfg = SystemConfig(n_antennas=4, n_dl=1, n_ul=1, n_idle=1)
         chan, rec = scenario(cfg, 2)
-        d = an_direction(chan, "baseline1", cfg.n_antennas)
+        d = an_direction(link_model(chan, rec), "baseline1")
         l_vec = chan.l[0]
         expected = np.outer(l_vec, l_vec.conj()) / np.linalg.norm(l_vec) ** 2
         assert np.abs(d - expected).max() <= 1e-12
@@ -297,7 +297,7 @@ class TestBaselines:
     def test_baseline_objective_counts_an_power(self):
         cfg = SystemConfig(n_antennas=4, n_dl=1, n_ul=1, n_idle=1)
         chan, rec = scenario(cfg, 3)
-        prob, vmap = build_baseline_problem(chan, cfg, rec, "baseline2")
+        prob, vmap = build_baseline_problem(link_model(chan, rec), cfg, "baseline2")
         assert prob.orthant_dim == 2  # P_0 and the AN power
         assert prob.objective_orthant[vmap.v_orthant_index] == pytest.approx(cfg.alpha)
 
@@ -307,8 +307,8 @@ class TestBaselines:
         rng = np.random.default_rng(11)
         cfg = SystemConfig(n_antennas=5, n_dl=2, n_ul=2, n_idle=2)
         chan, rec = scenario(cfg, 4)
-        opt_prob, opt_map = build_optimal_problem(chan, cfg, rec)
-        base_prob, base_map = build_baseline_problem(chan, cfg, rec, scheme)
+        opt_prob, opt_map = build_optimal_problem(link_model(chan, rec), cfg)
+        base_prob, base_map = build_baseline_problem(link_model(chan, rec), cfg, scheme)
         direction = base_map.v_direction
         p_v = 2.5e-4
         alloc = random_rank_one_alloc(rng, cfg, rec)
@@ -321,16 +321,16 @@ class TestBaselines:
     def test_baseline1_without_idle_users_is_isotropic(self):
         cfg = SystemConfig(n_antennas=4, n_dl=1, n_ul=1, n_idle=0)
         chan, rec = scenario(cfg, 5)
-        d = an_direction(chan, "baseline1", cfg.n_antennas)
+        d = an_direction(link_model(chan, rec), "baseline1")
         assert np.array_equal(d, np.eye(cfg.n_antennas) / cfg.n_antennas)
-        build_baseline_problem(chan, cfg, rec, "baseline1")
+        build_baseline_problem(link_model(chan, rec), cfg, "baseline1")
 
 
 class TestHdProblem:
     def test_no_an_variable(self):
         cfg = SystemConfig(n_antennas=4, n_dl=1, n_ul=1, n_idle=1)
         chan, rec = scenario(cfg, 6)
-        prob, vmap = build_hd_problem(chan, cfg, rec)
+        prob, vmap = build_hd_problem(link_model(chan, rec), cfg)
         assert len(prob.psd_dims) == cfg.n_dl
         assert prob.orthant_dim == cfg.n_ul
         assert vmap.v_block is None and vmap.v_orthant_index is None
@@ -346,7 +346,7 @@ class TestRecovery:
         rng = np.random.default_rng(13)
         cfg = SystemConfig(n_antennas=5, n_dl=2, n_ul=2, n_idle=2)
         chan, rec = scenario(cfg, 7)
-        prob, vmap = build_optimal_problem(chan, cfg, rec)
+        prob, vmap = build_optimal_problem(link_model(chan, rec), cfg)
         alloc = random_rank_one_alloc(rng, cfg, rec)
         back = recover_allocation(allocation_to_blocks(alloc, vmap), vmap, rec)
         for a, b in zip(alloc.W, back.W):
@@ -357,7 +357,7 @@ class TestRecovery:
     def test_orthant_order(self):
         cfg = SystemConfig(n_antennas=5, n_dl=1, n_ul=3, n_idle=1)
         chan, rec = scenario(cfg, 8)
-        prob, vmap = build_optimal_problem(chan, cfg, rec)
+        prob, vmap = build_optimal_problem(link_model(chan, rec), cfg)
         values = BlockValues(
             psd=tuple(np.eye(10) for _ in range(2)),
             orthant=np.array([0.1, 0.2, 0.3]),
@@ -368,7 +368,7 @@ class TestRecovery:
     def test_asymmetry_reported(self):
         cfg = SystemConfig(n_antennas=4, n_dl=1, n_ul=1, n_idle=1)
         chan, rec = scenario(cfg, 9)
-        prob, vmap = build_optimal_problem(chan, cfg, rec)
+        prob, vmap = build_optimal_problem(link_model(chan, rec), cfg)
         bad = np.eye(8)
         bad[0, 0] = 2.0
         values = BlockValues(psd=(bad, np.eye(8)), orthant=np.array([0.1]))
@@ -425,7 +425,7 @@ class TestEmbedding:
         # a dual block built like the coefficients comes back as its Hermitian matrix
         cfg = SystemConfig(n_antennas=4, n_dl=2, n_ul=1, n_idle=1)
         chan, rec = scenario(cfg, 3)
-        _, vmap = build_optimal_problem(chan, cfg, rec)
+        _, vmap = build_optimal_problem(link_model(chan, rec), cfg)
         rng = np.random.default_rng(9)
         ys = [random_hermitian(rng, 4) for _ in vmap.w_blocks]
         duals = [None] * (len(vmap.w_blocks) + 1)

@@ -10,6 +10,7 @@ from oracles import enumerate_lp_optimum, kkt_residuals, lp_problem, random_diag
 from fdsec import solver
 from fdsec.channel import SystemConfig, realize
 from fdsec.harness import SCHEMES
+from fdsec.metrics import link_model
 from fdsec.problem import (
     BlockValues,
     ConicProblem,
@@ -129,7 +130,7 @@ class TestSolverProperties:
         cfg = SystemConfig(n_antennas=5, n_dl=3, n_ul=2, n_idle=2)
         _, chan = realize(cfg, seed)
         rec = zf_receivers(chan.g)
-        prob, _ = build_optimal_problem(chan, cfg, rec)
+        prob, _ = build_optimal_problem(link_model(chan, rec), cfg)
         return prob
 
     def test_weak_duality_along_iterates(self):
@@ -216,9 +217,9 @@ class TestInfeasibilityRay:
     def test_infeasibility_verdict_carries_a_farkas_ray(self, scheme, cfg, seed):
         _, chan = realize(cfg, seed)
         if scheme == "hd":
-            prob, _ = build_hd_problem(chan, cfg, zf_receivers(chan.g))
+            prob, _ = build_hd_problem(link_model(chan, zf_receivers(chan.g)), cfg)
         else:
-            prob, _ = build_baseline_problem(chan, cfg, zf_receivers(chan.g), scheme)
+            prob, _ = build_baseline_problem(link_model(chan, zf_receivers(chan.g)), cfg, scheme)
         rep = solve(prob)
         assert rep.status == "primal_infeasible"
         y = rep.multipliers
@@ -244,10 +245,10 @@ def scheme_problem(cfg, seed, scheme):
     _, chan = realize(cfg, seed)
     rec = zf_receivers(chan.g)
     if scheme == "optimal":
-        return build_optimal_problem(chan, cfg, rec)[0]
+        return build_optimal_problem(link_model(chan, rec), cfg)[0]
     if scheme == "hd":
-        return build_hd_problem(chan, cfg, rec)[0]
-    return build_baseline_problem(chan, cfg, rec, scheme)[0]
+        return build_hd_problem(link_model(chan, rec), cfg)[0]
+    return build_baseline_problem(link_model(chan, rec), cfg, scheme)[0]
 
 
 def same_bits(a, b):
@@ -402,7 +403,7 @@ class TestKktResiduals:
         cfg = SystemConfig()
         _, chan = realize(cfg, 6)
         rec = zf_receivers(chan.g)
-        prob, _ = build_optimal_problem(chan, cfg, rec)
+        prob, _ = build_optimal_problem(link_model(chan, rec), cfg)
         rep = solve(prob)
         assert rep.status == "optimal"
         stat, pfeas, dfeas, comp = kkt_residuals(prob, rep)

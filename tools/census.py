@@ -7,15 +7,16 @@ For seeds 0 to N-1 of each workload in ``bench/workloads.py``, one
 tab-separated line per trial: workload, seed, gamma_DL in dB, scheme,
 solver status, IPM iterations, ``primal_obj``, ``dual_obj``, the QoS
 objective and ``min_margin`` (each as float hex, so equal text means equal
-bits), short SHA-1 digests of the bytes of the report's arrays
+bits), short SHA-1 digests of the bytes of the channel (``h``, ``g``, ``l``,
+``f``, ``t`` and ``h_si``), of the report's arrays
 (``multipliers``, ``psd_duals``, ``orthant_dual`` and the primal blocks), of
 the kept allocation (``W``, ``V`` and ``P``: the polished point or the raw
 one) and of the certificate's ``RankReport`` (its arrays, beamformers and
 verdict), "-" for a trial with none, and the verdicts of
 ``bench/checks.check_instance`` ("ok" when none fails). Equal lines thus
-mean bit-equal reports, polishes and certificates. ``paper-optimal`` and
-``paper-hd`` run one ``harness.evaluate_instance`` per trial, as the
-benchmark does.
+mean bit-equal channels, reports, polishes and certificates.
+``paper-optimal`` and ``paper-hd`` run one ``harness.evaluate_instance``
+per trial, as the benchmark does.
 ``gamma-sweep`` runs each seed's four gamma values of one scheme as one
 ``harness.evaluate_batch`` call, the lockstep batch a sweep of that seed
 makes.
@@ -46,8 +47,8 @@ import numpy as np
 HERE = os.path.dirname(os.path.abspath(__file__))
 WORKLOADS = ("paper-optimal", "paper-hd", "gamma-sweep")
 COLUMNS = ("workload", "seed", "gamma_dl_db", "scheme", "status", "iterations",
-           "primal_obj", "dual_obj", "objective_w", "min_margin", "report_sha1", "alloc_sha1",
-           "rank_sha1", "checks")
+           "primal_obj", "dual_obj", "objective_w", "min_margin", "chan_sha1", "report_sha1",
+           "alloc_sha1", "rank_sha1", "checks")
 
 
 def census(tree, seeds, names):
@@ -79,8 +80,8 @@ def line(name, inst, failed):
     values = (name, inst.seed, f"{inst.cfg.gamma_dl_req_default_db:g}", inst.scheme,
               rep.status, rep.iterations, float(rep.primal_obj).hex(),
               float(rep.dual_obj).hex(), float(objective).hex(),
-              float(inst.min_margin).hex(), report_digest(rep), alloc_digest(inst.alloc),
-              rank_digest(inst.rank), ",".join(failed) or "ok")
+              float(inst.min_margin).hex(), chan_digest(inst.chan), report_digest(rep),
+              alloc_digest(inst.alloc), rank_digest(inst.rank), ",".join(failed) or "ok")
     return "\t".join(str(v) for v in values)
 
 
@@ -90,6 +91,10 @@ def digest(*arrays):
     for a in arrays:
         sha.update(np.ascontiguousarray(a).tobytes())
     return sha.hexdigest()[:12]
+
+
+def chan_digest(chan):
+    return digest(chan.h, chan.g, chan.l, chan.f, chan.t, chan.h_si)
 
 
 def report_digest(rep):
