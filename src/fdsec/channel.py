@@ -45,18 +45,19 @@ class SystemConfig:
     alpha: float = 1.0                 # DL transmit power weight
     beta: float = 1.0                  # UL transmit power weight
     carrier_hz: float = 1.9e9
-    bandwidth_hz: float = 2e5
     pathloss_exponent: float = 3.6
     ref_distance_m: float = 30.0
     max_distance_m: float = 500.0
     si_cancellation_db: float = -110.0
-    thermal_noise_dbm: float = -121.0
+    thermal_noise_dbm: float = -121.0  # -174 dBm/Hz over a 200 kHz band
     user_noise_figure_db: float = 9.0
     bs_noise_figure_db: float = 2.0
     bs_antenna_gain_dbi: float = 18.0
     rician_factor_db: float = 6.0
 
     def __post_init__(self):
+        if min(self.n_dl, self.n_ul, self.n_idle) < 0:
+            raise ValueError("user counts n_dl, n_ul and n_idle must be nonnegative")
         if self.n_antennas <= self.n_ul or self.n_antennas <= self.n_idle:
             raise ValueError("need N > J and N > M for UL detection and security")
         if self.alpha < 0 or self.beta < 0:

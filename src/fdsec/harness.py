@@ -109,6 +109,8 @@ class SweepSpec:
             raise ValueError("need at least one trial per point")
         check_schemes(self.schemes)
         _check_jobs(self.jobs)
+        for value in self.values:
+            self.config_for(value)  # raises on a value no SystemConfig takes
 
     def config_for(self, value):
         if self.parameter == "gamma_dl_req_db":

@@ -21,6 +21,7 @@ import numpy as np
 from .metrics import Allocation
 
 SENSES = (">=", "<=")
+_EMBED_TOL = 1e-6  # relative deviation from the embedding structure _unembed_hermitian accepts
 
 
 @dataclass(frozen=True)
@@ -114,11 +115,12 @@ def _embed_real(h):
     return out
 
 
-def _unembed_hermitian(m, atol=1e-6):
-    """Invert :func:`_embed_real`, averaging the redundant blocks.
+def _unembed_hermitian(m):
+    """Invert :func:`_embed_real`: H = A + iB read off the left quadrants.
 
-    Raises if the input deviates from the embedding structure by more than
-    ``atol`` relative to its Frobenius norm.
+    Every block the solver reports equals its quarter-turn image, so the
+    right quadrants repeat the left ones; raises if the input deviates from
+    that structure by more than ``_EMBED_TOL`` relative to its Frobenius norm.
     """
     m = np.asarray(m, dtype=float)
     d = m.shape[0]
@@ -128,13 +130,9 @@ def _unembed_hermitian(m, atol=1e-6):
     m11, m12, m21, m22 = m[:n, :n], m[:n, n:], m[n:, :n], m[n:, n:]
     scale = max(np.linalg.norm(m), 1e-300)
     asym = np.sqrt(np.linalg.norm(m11 - m22) ** 2 + np.linalg.norm(m12 + m21) ** 2)
-    if asym > atol * scale:
-        raise ValueError(f"embedding asymmetry {asym / scale:.3e} exceeds {atol:.1e}")
-    a = 0.5 * (m11 + m22)
-    b = 0.5 * (m21 - m12)
-    a = 0.5 * (a + a.T)
-    b = 0.5 * (b - b.T)
-    return a + 1j * b
+    if asym > _EMBED_TOL * scale:
+        raise ValueError(f"embedding asymmetry {asym / scale:.3e} exceeds {_EMBED_TOL:.1e}")
+    return m11 + 1j * m21
 
 
 def hermitian_coeff(h):
@@ -153,7 +151,7 @@ def recover_duals(report, vmap):
     an embedded dual block is half the embedding of the Hermitian dual; the
     factor 2 undoes it.
     """
-    return [2.0 * _unembed_hermitian(report.psd_duals[b], atol=1e-4) for b in vmap.w_blocks]
+    return [2.0 * _unembed_hermitian(report.psd_duals[b]) for b in vmap.w_blocks]
 
 
 def _assemble(model, cfg, an_mode, direction=None):

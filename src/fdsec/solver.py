@@ -100,17 +100,9 @@ def _embedding_image(m):
 
 
 def _embedding_symmetric(mats):
-    """Per matrix of a (..., 2n, 2n) stack: equal to its quarter-turn image
-    within 1e-12 of its largest entry (at least 1), compared quadrant by
-    quadrant in one quarter-size buffer."""
-    n = mats.shape[-1] // 2
-    ax = (-2, -1)
-    peak = np.maximum(mats.max(axis=ax), -mats.min(axis=ax))
-    buf = np.subtract(mats[..., :n, :n], mats[..., n:, n:])
-    off = np.abs(buf, out=buf).max(axis=ax)
-    np.add(mats[..., :n, n:], mats[..., n:, :n], out=buf)
-    off = np.maximum(off, np.abs(buf, out=buf).max(axis=ax))
-    return off <= 1e-12 * np.maximum(1.0, peak)
+    """Per matrix of a (..., 2n, 2n) stack: equal to its quarter-turn image,
+    entry for entry."""
+    return (mats == _embedding_image(mats)).all(axis=(-2, -1))
 
 
 class _BlockGroup:
@@ -167,8 +159,9 @@ class _BlockGroup:
 class _StandardForm:
     """min c.u  s.t.  A u = b, u in (PSD blocks) x orthant, plus unscaling data."""
 
-    def __init__(self, problem):
-        m = len(problem.constraints)
+    def __init__(self, problem, rows=None):
+        cons = problem.constraints if rows is None else [problem.constraints[i] for i in rows]
+        m = len(cons)
         self.psd_dims = list(problem.psd_dims)
         sv_lens = [d * (d + 1) // 2 for d in self.psd_dims]
         self.block_starts = np.concatenate([[0], np.cumsum(sv_lens)]).astype(int)
@@ -186,10 +179,10 @@ class _StandardForm:
         self.m = m
 
         # all->= orientation; remember original senses for reporting
-        self.sense_sign = np.array([1.0 if c.sense == ">=" else -1.0 for c in problem.constraints])
+        self.sense_sign = np.array([1.0 if c.sense == ">=" else -1.0 for c in cons])
         a = np.zeros((m, self.n_x))
         b = np.empty(m)
-        for i, con in enumerate(problem.constraints):
+        for i, con in enumerate(cons):
             for blk, coeff in con.psd_coeffs.items():
                 k, j = self.block_at[blk]
                 a[i, self.groups[k].cols[j]] = self.groups[k].svec(coeff)
@@ -701,8 +694,7 @@ def ray_report(problem, y):
     tick = time.perf_counter()
     y = np.asarray(y, dtype=float)
     support = np.flatnonzero(y)
-    sf = _StandardForm(replace(problem, constraints=tuple(problem.constraints[i]
-                                                          for i in support)))
+    sf = _StandardForm(problem, support)
     rows = support[sf.kept]
     y_kept = y[rows] / (sf.row_scale * sf.obj_scale)
     aty = sf.a_full.T @ y_kept

@@ -22,7 +22,6 @@ class TestConfig:
     def test_defaults_match_table(self):
         cfg = SystemConfig()
         assert cfg.carrier_hz == 1.9e9
-        assert cfg.bandwidth_hz == 2e5
         assert cfg.pathloss_exponent == 3.6
         assert cfg.si_cancellation_db == -110.0
         assert cfg.thermal_noise_dbm == -121.0
@@ -34,6 +33,12 @@ class TestConfig:
             SystemConfig(n_antennas=3, n_ul=3, n_idle=1)
         with pytest.raises(ValueError):
             SystemConfig(n_antennas=4, n_ul=1, n_idle=5)
+
+    def test_negative_user_counts_rejected(self):
+        for bad in (dict(n_ul=-1), dict(n_idle=-1), dict(n_dl=-2)):
+            with pytest.raises(ValueError, match="nonnegative"):
+                SystemConfig(**bad)
+        assert SystemConfig(n_dl=0).n_dl == 0
 
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):

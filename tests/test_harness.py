@@ -453,6 +453,8 @@ class TestSweep:
         with pytest.raises(ValueError, match="finite"):
             SweepSpec(parameter="gamma_dl_req_db", values=(6.0, float("nan")))
         assert SweepSpec(parameter="n_antennas", values=(6, 8.0)).config_for(8.0).n_antennas == 8
+        with pytest.raises(ValueError, match="N > J"):
+            SweepSpec(parameter="n_antennas", values=(8, 2))
         for schemes in (("zf",), (), ("optimal", "optimal")):
             with pytest.raises(ValueError):
                 SweepSpec(parameter="n_antennas", values=(6,), schemes=schemes)
@@ -747,6 +749,28 @@ class TestCli:
                 err = capsys.readouterr().err
                 assert exc.value.code == 2, line
                 assert "--config" in err and named in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_malformed_counts_exit_2(self, tmp_path, capsys):
+        # negative user counts and the removed bandwidth_hz key in a config
+        # file, and an antenna count no SystemConfig takes in --values
+        out = tmp_path / "out"
+        cfg = tmp_path / "bad.cfg"
+        for line, named in (("n_ul = -1", "nonnegative"), ("n_idle = -1", "nonnegative"),
+                            ("n_dl = -2", "nonnegative"), ("bandwidth_hz = 2e5", "bandwidth_hz")):
+            cfg.write_text(line + "\n")
+            with pytest.raises(SystemExit) as exc:
+                main(["trial", "--config", str(cfg), "--out", str(out)])
+            err = capsys.readouterr().err
+            assert exc.value.code == 2, line
+            assert "--config" in err and named in err and "Traceback" not in err
+        argv = ["sweep", "--sweep", "antennas", "--values", "8,2", "--trials", "1"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(out)])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2 and "--values" in err and "N > J" in err
+        proc = self.run_cli(*argv, "--out", str(out))
+        assert proc.returncode == 2 and "Traceback" not in proc.stderr
         assert not out.exists()
 
     def test_summarize_without_trials_csv_exits_2(self, tmp_path, capsys):

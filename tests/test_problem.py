@@ -27,6 +27,7 @@ from fdsec.problem import (
     recover_duals,
 )
 from fdsec.receivers import zf_receivers
+from fdsec.solver import _embedding_image
 
 
 def random_complex(rng, *shape):
@@ -420,6 +421,17 @@ class TestEmbedding:
         bad[0, 0] = 2.0  # breaks the duplicated-block structure
         with pytest.raises(ValueError):
             _unembed_hermitian(bad)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(h=st.integers(1, 6).flatmap(lambda n: st.lists(
+        st.complex_numbers(allow_nan=False, allow_infinity=False), min_size=n * n,
+        max_size=n * n).map(lambda v: np.array(v, dtype=complex).reshape(n, n))))
+    def test_coefficient_is_an_exact_embedding(self, h):
+        # the solver tests embedding structure by equality, so every
+        # coefficient must have it to the bit, whatever h's rounding
+        c = hermitian_coeff(h)
+        assert np.array_equal(c, c.T)
+        assert np.array_equal(c, _embedding_image(c))
 
     def test_recover_duals_undoes_the_coefficient_factor(self):
         # a dual block built like the coefficients comes back as its Hermitian matrix

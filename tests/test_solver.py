@@ -9,7 +9,7 @@ from oracles import enumerate_lp_optimum, kkt_residuals, lp_problem, random_diag
 
 from fdsec import solver
 from fdsec.channel import SystemConfig, realize
-from fdsec.harness import SCHEMES
+from fdsec.harness import SCHEMES, evaluate_instance
 from fdsec.metrics import link_model
 from fdsec.problem import (
     BlockValues,
@@ -18,6 +18,7 @@ from fdsec.problem import (
     build_baseline_problem,
     build_hd_problem,
     build_optimal_problem,
+    hermitian_coeff,
 )
 from fdsec.receivers import zf_receivers
 from fdsec.solver import (
@@ -25,6 +26,8 @@ from fdsec.solver import (
     _Lockstep,
     _scaled_rows,
     _Scaling,
+    _embedding_image,
+    _embedding_symmetric,
     _StandardForm,
     solve,
     solve_many,
@@ -192,6 +195,15 @@ class TestSolverProperties:
         for dual in rep.psd_duals:
             assert np.linalg.eigvalsh(dual)[0] >= -1e-9 * (1.0 + np.abs(dual).max())
 
+    def test_form_of_rows_is_the_form_of_their_sub_program(self):
+        prob = self.build_paper_like(6)
+        rows = [0, 3, 4, 9]
+        sub = _StandardForm(replace(prob, constraints=tuple(prob.constraints[i] for i in rows)))
+        sf = _StandardForm(prob, rows)
+        for name in ("a_full", "b", "c_full", "row_scale", "col_scale", "kept", "sense_sign"):
+            assert np.array_equal(getattr(sf, name), getattr(sub, name)), name
+        assert (sf.layout, sf.obj_scale, sf.b_scale) == (sub.layout, sub.obj_scale, sub.b_scale)
+
     def test_iteration_log_stream(self, caplog):
         prob = self.build_paper_like(5)
         with caplog.at_level(logging.DEBUG, logger="fdsec.solver"):
@@ -200,6 +212,44 @@ class TestSolverProperties:
         lines = [r.getMessage() for r in caplog.records if r.name == "fdsec.solver"]
         assert all("pobj" in line for line in lines)
         assert len(lines) >= rep.iterations - 1
+
+
+EDGE_CONFIGS = {
+    "paper": SystemConfig(),
+    "sweep": SystemConfig(n_antennas=6, n_dl=2, n_ul=2, n_idle=1),
+    "J=0": SystemConfig(n_antennas=4, n_dl=2, n_ul=0, n_idle=2),
+    "M=0": SystemConfig(n_antennas=4, n_dl=2, n_ul=2, n_idle=0),
+    "K=1": SystemConfig(n_antennas=4, n_dl=1, n_ul=1, n_idle=1),
+    "N=J+1": SystemConfig(n_antennas=3, n_dl=2, n_ul=2, n_idle=1),
+}
+
+
+class TestExactEmbedding:
+    """Every block a program is built of and every block a report carries
+    equals its quarter-turn image to the bit, which is what lets the
+    structure test compare by equality and recovery read the quadrants off."""
+
+    def test_one_ulp_is_not_symmetric(self):
+        rng = np.random.default_rng(11)
+        h = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        m = np.array(hermitian_coeff(h + h.conj().T))
+        assert _embedding_symmetric(m)
+        m[3, 3] = np.nextafter(m[0, 0], np.inf)
+        assert not _embedding_symmetric(m)
+        assert list(_embedding_symmetric(np.stack([m, hermitian_coeff(h)]))) == [False, True]
+
+    @pytest.mark.parametrize("name", EDGE_CONFIGS)
+    def test_every_block_built_and_reported_is_exact(self, name):
+        cfg = EDGE_CONFIGS[name]
+        for seed in range(4):
+            for scheme in SCHEMES:
+                inst = evaluate_instance(cfg, seed, scheme)
+                sf = _StandardForm(inst.problem)
+                structured = sorted(b for grp in sf.sym_groups for b in grp.blocks.tolist())
+                assert structured == list(range(len(inst.problem.psd_dims))), (seed, scheme)
+                rep = inst.report
+                for m in rep.primal.psd + rep.psd_duals:
+                    assert np.array_equal(m, _embedding_image(m)), (seed, scheme, rep.status)
 
 
 class TestInfeasibilityRay:

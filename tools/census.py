@@ -24,14 +24,15 @@ makes.
 ``--tree DIR`` takes the program and the checks from another checkout.
 ``--diff OLD NEW`` runs the census in both trees at once (one process
 each; ``OPENBLAS_NUM_THREADS=1`` keeps them off each other's cores) and
-prints every trial whose line differs. It then reports, per workload, what
-decides the benchmark's ``correct`` flag in NEW's ``bench/``: the pool
+prints every trial whose line differs. It then reports, per workload, the
+total IPM iterations of OLD and NEW over all candidates and over the pool
 trials (the strata seeds, and for a window workload the ``window`` seeds
-from each) whose checks go from "ok" to failing, the probes that do so,
-and the ``checks.check_seed_sweep`` breaks on each sweep pool seed's
-passing trials, as ``bench/run.py`` records them. It exits with status 2
-when a pool trial regresses or a pool seed gains a break, else 1 when a
-line differs, else 0.
+from each), and what decides the benchmark's ``correct`` flag in NEW's
+``bench/``: the pool trials whose checks go from "ok" to failing, the
+probes that do so, and the ``checks.check_seed_sweep`` breaks on each
+sweep pool seed's passing trials, as ``bench/run.py`` records them. It
+exits with status 2 when a pool trial regresses or a pool seed gains a
+break, else 1 when a line differs, else 0.
 """
 
 import argparse
@@ -143,6 +144,13 @@ def by_seed(lines):
     return out
 
 
+def iterations(trials, name, seeds=None):
+    """Total IPM iterations of a ``by_seed`` census's ``name`` trials, over
+    all its seeds or over ``seeds``."""
+    return sum(int(t["iterations"]) for (workload, seed), rows in trials.items()
+               if workload == name and (seeds is None or seed in seeds) for t in rows)
+
+
 def pool_report(tree, before, after, names):
     """Print the pool trials and probes of ``tree``'s benchmark whose
     checks go from ok to failing, and the per-seed sweep breaks on its
@@ -172,6 +180,9 @@ def pool_report(tree, before, after, names):
                 if was.get((t["gamma_dl_db"], t["scheme"])) == "ok" and t["checks"] != "ok":
                     (pooled if seed in pool else probed).append(
                         f"seed {seed}, {t['gamma_dl_db']} dB, {t['scheme']} ({t['checks']})")
+        print(f"{name}: IPM iterations OLD {iterations(old, name)}, NEW "
+              f"{iterations(new, name)} over all candidates; OLD {iterations(old, name, pool)}, "
+              f"NEW {iterations(new, name, pool)} over pool trials")
         print(f"{name}: {len(pooled)} of {censused} pool trials "
               f"({len(pool) * len(wl.tasks())} in the pool) go from ok to failing")
         for text in pooled:
