@@ -378,20 +378,36 @@ def _break_where(mask):
         raise _Breakdown(np.flatnonzero(mask))
 
 
+# the gufuncs that numpy.linalg's cholesky, eigh and eigvalsh call on real
+# symmetric stacks, with the signatures those functions pass
+_linalg = np.linalg._umath_linalg
+_CHOLESKY = (_linalg.cholesky_lo, "d->d")
+_EIGH = (_linalg.eigh_lo, "d->dd")
+_EIGVALSH = (_linalg.eigvalsh_lo, "d->d")
+
+
+def _lapack(kernel, stack):
+    """A LAPACK kernel (``_CHOLESKY``, ``_EIGH`` or ``_EIGVALSH``) on a (T, ...)
+    stack in one call, and the (T,) mask of the trials where it failed.
+
+    This is numpy's private gufunc, the very routine the ``numpy.linalg``
+    function calls, as the ``linalg`` module already loads scipy's private
+    compiled modules. ``numpy.linalg`` raises for the whole stack when one
+    matrix fails; the gufunc instead leaves that matrix's result nan, so the
+    failing trials are the rows with a nan, and no trial is run again.
+    """
+    gufunc, signature = kernel
+    with np.errstate(all="ignore"):
+        out = gufunc(stack, signature=signature)
+    first = out[0] if isinstance(out, tuple) else out
+    return out, np.isnan(first.reshape(len(stack), -1)).any(axis=1)
+
+
 def _by_trial(kernel, stack):
-    """A LAPACK kernel on a (T, ...) stack in one call. The batched call
-    raises for the whole stack when one slice fails, so then each trial
-    runs alone, and those that fail alone break down."""
-    try:
-        return kernel(stack)
-    except np.linalg.LinAlgError:
-        failed = []
-        for r in range(len(stack)):
-            try:
-                kernel(stack[r:r + 1])
-            except np.linalg.LinAlgError:
-                failed.append(r)
-        raise _Breakdown(failed or range(len(stack))) from None
+    """:func:`_lapack`'s result; the trials where it failed break down."""
+    out, failed = _lapack(kernel, stack)
+    _break_where(failed)
+    return out
 
 
 class _Scaling:
@@ -402,10 +418,10 @@ class _Scaling:
         self.g = []
         self.lam = []
         for grp in lay.groups:
-            lx = _by_trial(np.linalg.cholesky, grp.smat(u))
+            lx = _by_trial(_CHOLESKY, grp.smat(u))
             core = _t(lx) @ grp.smat(z) @ lx
             core = 0.5 * (core + _t(core))
-            lam_sq, q = _by_trial(np.linalg.eigh, core)
+            lam_sq, q = _by_trial(_EIGH, core)
             _break_where((lam_sq[..., 0] <= 0.0).any(axis=-1))  # scaling not positive definite
             lam = np.sqrt(lam_sq)
             self.g.append(lx @ (q * (lam ** -0.5)[..., np.newaxis, :]))
@@ -462,7 +478,7 @@ def _step_to_boundary(lay, scal, dx_scaled, dz_scaled):
     alpha = limit(scal.lam_orth[:, np.newaxis, :], dirs[..., lay.n_sv:])
     for grp, scale in zip(lay.groups, scal.lam_pairs):
         norm = grp.smat(dirs) / scale[:, np.newaxis]
-        alpha = np.minimum(alpha, limit(1.0, _by_trial(np.linalg.eigvalsh, norm)[..., 0]))
+        alpha = np.minimum(alpha, limit(1.0, _by_trial(_EIGVALSH, norm)[..., 0]))
     return alpha.tolist()
 
 
@@ -471,10 +487,7 @@ def _interior(lay, u, z):
     inside = ~((u[:, lay.n_sv:] <= 0.0).any(axis=1) | (z[:, lay.n_sv:] <= 0.0).any(axis=1))
     pair = np.stack((u, z), axis=1)
     for grp in lay.groups:
-        try:
-            _by_trial(np.linalg.cholesky, grp.smat(pair))
-        except _Breakdown as exc:
-            inside[exc.rows] = False
+        inside &= ~_lapack(_CHOLESKY, grp.smat(pair))[1]
     return inside
 
 
@@ -608,10 +621,10 @@ def _farkas_rays(st, y, aty):
         rows = np.flatnonzero(ray)
         if not rows.size:
             break
-        try:
-            lam_max = _by_trial(np.linalg.eigvalsh, grp.smat(aty[rows]))[..., -1]
-        except _Breakdown as exc:
-            raise _Breakdown(rows[exc.rows]) from None
+        lam, failed = _lapack(_EIGVALSH, grp.smat(aty[rows]))
+        if failed.any():
+            raise _Breakdown(rows[failed])
+        lam_max = lam[..., -1]
         norms = np.stack([st.sfs[r].row_norms[k] for r in rows])
         ray[rows] = ~(lam_max > _RAY_TOL * _mv(norms, abs_y[rows])).any(axis=1)
     return ray
