@@ -26,7 +26,9 @@ def dbm2watt(x_dbm):
 
 
 def watt2dbm(x_w):
-    return 10.0 * np.log10(np.asarray(x_w, dtype=float) * 1e3)
+    """dBm of powers in W; 0 W, the optimum of a zero-cost objective, is -inf."""
+    with np.errstate(divide="ignore"):
+        return 10.0 * np.log10(np.asarray(x_w, dtype=float) * 1e3)
 
 
 @dataclass(frozen=True)

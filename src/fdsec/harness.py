@@ -69,6 +69,7 @@ class TrialResult:
     seed: int
     scheme: str
     status: str
+    exit: str                      # how the solve ended: SolverReport.exit
     objective_w: float             # nan unless solved
     objective_dbm: float
     dl_power_w: float              # beams plus artificial noise
@@ -242,7 +243,7 @@ def _trial_result(inst, trial_id):
     obj = nan if alloc is None else inst.qos.objective
     return TrialResult(
         trial_id=trial_id, seed=inst.seed, scheme=inst.scheme, status=inst.report.status,
-        objective_w=obj, objective_dbm=float(watt2dbm(obj)),
+        exit=inst.report.exit, objective_w=obj, objective_dbm=float(watt2dbm(obj)),
         dl_power_w=nan if alloc is None else dl_power(alloc),
         ul_powers_w=() if alloc is None else tuple(float(p) for p in alloc.P),
         min_margin=inst.min_margin, hd_precheck_infeasible=inst.precheck,

@@ -55,11 +55,19 @@ _ABS_TOL = 1e-8      # gaps are relative to max(|objective|, _ABS_TOL / _REL_TOL
 # deep enough for the dual certificate's null-eigenvalue and complementarity tests
 _MU_FACTOR = 1e-3
 _RAY_TOL = 1e-8      # relative cone violation a Farkas ray may keep
+# a trial whose best iterate meets the relaxed test and has not improved for
+# this many iterations is at its precision floor, and ends on that iterate
+_FLOOR_ITERS = 2
 
 
 @dataclass(frozen=True)
 class SolverReport:
     status: str                  # optimal | primal_infeasible | max_iters | numerical_failure
+    # how the solve ended: strict (the stop test), floor (a relaxed best iterate
+    # that stopped improving), breakdown (a relaxed best iterate after a
+    # breakdown, stall or max_iters), ray (a Farkas ray of the iterates),
+    # closed_form_ray (ray_report), presolve or failure
+    exit: str
     primal: BlockValues
     multipliers: np.ndarray      # one nonnegative multiplier per inequality
     psd_duals: tuple             # one real symmetric dual block per PSD variable
@@ -660,9 +668,12 @@ def solve_many(problems):
     ``multipliers`` and its dual slack -A'y in ``psd_duals`` and
     ``orthant_dual``: a dual iterate that passes ``_farkas_rays``, or the
     unit multiplier of an all-zero row with a positive constant. A solve
-    that stops before either test decides ends in ``max_iters`` or
-    ``numerical_failure``, unless its best iterate meets the relaxed
-    optimality test. Every objective lies in the dual cone, as a
+    whose best iterate meets the relaxed optimality test but has not
+    improved for ``_FLOOR_ITERS`` iterations is at its precision floor: it
+    ends there, reporting that iterate as ``optimal``. A solve that stops
+    before any test decides ends in ``max_iters`` or ``numerical_failure``,
+    unless its best iterate meets the relaxed test. ``exit`` names which of
+    these ended the solve. Every objective lies in the dual cone, as a
     ``ConicProblem`` checks when it is built, so no program is unbounded.
     The stop rule's tolerances and the iteration cap are the module
     constants ``_REL_TOL``, ``_ABS_TOL`` and ``_MAX_ITERS``.
@@ -713,7 +724,8 @@ def ray_report(problem, y):
     aty = sf.a_full.T @ y_kept
     if not _farkas_rays(_Stack([sf]), y_kept[np.newaxis], aty[np.newaxis])[0]:
         return None
-    rep = _report(sf, "primal_infeasible", np.zeros(sf.n_total), y_kept, -aty, 0, [])
+    rep = _report(sf, "primal_infeasible", "closed_form_ray", np.zeros(sf.n_total), y_kept, -aty,
+                  0, [])
     multipliers = np.zeros(len(y))
     multipliers[rows] = rep.multipliers[sf.kept]
     return replace(rep, multipliers=multipliers, solve_time=time.perf_counter() - tick)
@@ -724,12 +736,14 @@ def _presolved_report(sf):
     if sf.infeasible_rows.size:
         # 0 >= b_i > 0: the unit multiplier on that row is a ray, as -A'e_i = 0
         zeros = np.zeros(sf.n_total)
-        rep = _report(sf, "primal_infeasible", zeros, np.zeros(len(sf.kept)), zeros, 0, [])
+        rep = _report(sf, "primal_infeasible", "presolve", zeros, np.zeros(len(sf.kept)), zeros,
+                      0, [])
         rep.multipliers[sf.infeasible_rows[0]] = 1.0
         return rep
     if len(sf.kept) == 0:
         # unconstrained over the cone, whose dual cone holds the objective: optimum 0
-        return _report(sf, "optimal", np.zeros(sf.n_total), np.zeros(0), sf.c_full.copy(), 0, [])
+        return _report(sf, "optimal", "presolve", np.zeros(sf.n_total), np.zeros(0),
+                       sf.c_full.copy(), 0, [])
     return None
 
 
@@ -749,7 +763,8 @@ class _Lockstep:
         self.trials = list(range(n_trials))
         self.exits = [None] * n_trials  # (status, u, y, z, iterations)
         self.logs = [[] for _ in sfs]
-        self.best = [None] * n_trials   # (merit, u, y, z, meets_relaxed_criteria)
+        # (merit, iteration, u, y, z, meets_relaxed_criteria)
+        self.best = [None] * n_trials
         self.stall = [0] * n_trials
         self.it = 0
 
@@ -787,13 +802,15 @@ class _Lockstep:
         reports = []
         for t, (status, u, y, z, iters) in enumerate(self.exits):
             tick = time.perf_counter()
-            if status in ("max_iters", "numerical_failure") and self.best[t] is not None:
+            exit = {"optimal": "strict", "primal_infeasible": "ray"}.get(status, "failure")
+            if status in ("floor", "max_iters", "numerical_failure") and self.best[t] is not None:
                 # fall back to the best iterate seen; accept it when it already meets
                 # the feasibility tolerances and a mildly relaxed gap
-                _, u, y, z, relaxed = self.best[t]
+                _, _, u, y, z, relaxed = self.best[t]
                 if relaxed:
+                    exit = "floor" if status == "floor" else "breakdown"
                     status = "optimal"
-            rep = _report(self.sfs[t], status, u, y, z, iters, self.logs[t])
+            rep = _report(self.sfs[t], status, exit, u, y, z, iters, self.logs[t])
             reports.append(replace(rep, solve_time=clocks[t] + time.perf_counter() - tick))
         return reports
 
@@ -815,7 +832,8 @@ class _Lockstep:
 
     def test_exits(self):
         """The residuals, best iterates and the log of this iteration; end the
-        trials that reach the optimum or carry a Farkas ray."""
+        trials that reach the optimum, whose relaxed best iterate has not
+        improved for ``_FLOOR_ITERS`` iterations, or that carry a Farkas ray."""
         st, lay = self.st, self.lay
         u, y, z = self.u, self.y, self.z
         aty = _mv(st.a_t, y)
@@ -857,7 +875,7 @@ class _Lockstep:
                     relp <= _REL_TOL and reld <= _REL_TOL
                     and relgap_s <= 500 * _REL_TOL and mu_rel <= 50 * mu_target
                 )
-                self.best[t] = (merit, u[r].copy(), y[r].copy(), z[r].copy(), relaxed)
+                self.best[t] = (merit, self.it, u[r].copy(), y[r].copy(), z[r].copy(), relaxed)
 
             self.logs[t].append({
                 "iteration": self.it - 1, "primal_obj": pobj[r], "dual_obj": dobj[r],
@@ -867,6 +885,8 @@ class _Lockstep:
 
             if relp <= _REL_TOL and reld <= _REL_TOL and gap_ok and mu_ok:
                 ends[r] = "optimal"
+            elif self.best[t][-1] and self.it - self.best[t][1] >= _FLOOR_ITERS:
+                ends[r] = "floor"  # run() reports the best iterate
             else:
                 rows.append(r)
 
@@ -911,7 +931,7 @@ class _Lockstep:
         self.leave(ends)
 
 
-def _report(sf, status, u, y, z, iters, log):
+def _report(sf, status, exit, u, y, z, iters, log):
     """The report of one trial's exit iterate, in the original data's units."""
     x_orig, y_kept, z_orig = _unscale(sf, u, y, z)
     y_orig = np.zeros(sf.m)
@@ -922,6 +942,7 @@ def _report(sf, status, u, y, z, iters, log):
     orth_dual = sf.orth_slice(z_orig) if sf.n_orth_vars else np.zeros(0)
     return SolverReport(
         status=status,
+        exit=exit,
         primal=BlockValues(psd=psd_vals, orthant=orth_vals),
         multipliers=y_orig,
         psd_duals=psd_duals,

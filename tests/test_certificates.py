@@ -180,7 +180,7 @@ class TestDualBlocksAgainstAssembly:
             for b, coeff in con.psd_coeffs.items():
                 duals[b] -= si * yi * coeff
         report = SolverReport(
-            status="optimal", primal=None, multipliers=y, psd_duals=tuple(duals),
+            status="optimal", exit="strict", primal=None, multipliers=y, psd_duals=tuple(duals),
             orthant_dual=np.zeros(prob.orthant_dim), primal_obj=0.0, dual_obj=0.0,
             iterations=0,
         )

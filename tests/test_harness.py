@@ -4,6 +4,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -51,6 +52,11 @@ sys.path.insert(0, BENCH)
 import checks  # noqa: E402  (the benchmark's independent output checks)
 
 SMALL = SystemConfig(n_antennas=6, n_dl=3, n_ul=2, n_idle=2)
+
+# the exits that a trial of each status may report (SolverReport.exit)
+EXITS = {"optimal": ("strict", "floor", "breakdown", "presolve"),
+         "primal_infeasible": ("ray", "closed_form_ray", "presolve"),
+         "max_iters": ("failure",), "numerical_failure": ("failure",)}
 
 
 class TestRunTrial:
@@ -109,6 +115,14 @@ class TestRunTrial:
         assert float(inst.report.primal_obj).hex() == float(rep.primal_obj).hex()
         assert float(inst.report.dual_obj).hex() == float(rep.dual_obj).hex()
 
+    def test_zero_cost_optimum_is_minus_infinity_dbm(self):
+        # with alpha = 0 and no UL user nothing costs power: the optimum is 0 W
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            r = run_trial(SystemConfig(alpha=0.0, n_ul=0), 0, "optimal")
+        assert r.status == "optimal"
+        assert (r.objective_w, r.objective_dbm) == (0.0, -np.inf)
+
     def test_unknown_scheme(self):
         with pytest.raises(ValueError):
             run_trial(SMALL, 0, "mrt")
@@ -127,6 +141,7 @@ class TestRunTrial:
         results = [run_trial(cfg, seed, scheme) for scheme in SCHEMES]
         for r in results:
             assert r.status in ("optimal", "primal_infeasible", "max_iters", "numerical_failure")
+            assert r.exit in EXITS[r.status]
             if r.status == "primal_infeasible":
                 inst = evaluate_instance(cfg, seed, r.scheme)
                 assert checks.valid_ray(inst.problem, inst.report.multipliers)
@@ -511,6 +526,7 @@ class TestSummaries:
         return TrialResult(
             trial_id=0, seed=0, scheme=scheme,
             status="optimal" if feasible else "primal_infeasible",
+            exit="strict" if feasible else "ray",
             objective_w=10 ** (dbm / 10) / 1e3 if feasible else float("nan"),
             objective_dbm=dbm if feasible else float("nan"),
             dl_power_w=0.0, ul_powers_w=(), min_margin=0.0,

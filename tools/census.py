@@ -24,7 +24,12 @@ makes.
 ``--tree DIR`` takes the program and the checks from another checkout.
 ``--diff OLD NEW`` runs the census in both trees at once (one process
 each; ``OPENBLAS_NUM_THREADS=1`` keeps them off each other's cores) and
-prints every trial whose line differs. It then reports, per workload, the
+prints every trial whose line differs. A summary of those lines follows:
+how many differ only in ``iterations`` and how many in the solver's report
+(status, objectives or arrays), the status moves, the largest relative rise
+of ``objective_w`` on a trial ``optimal`` in both, and, over all trials,
+how many go from failing checks to "ok" and which go from "ok" to failing.
+It then reports, per workload, the
 total IPM iterations of OLD and NEW over all candidates and over the pool
 trials (the strata seeds, and for a window workload the ``window`` seeds
 from each), and what decides the benchmark's ``correct`` flag in NEW's
@@ -41,6 +46,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from contextlib import ExitStack
 
 import numpy as np
@@ -205,20 +211,54 @@ def pool_report(tree, before, after, names):
     return regressions
 
 
+REPORT_COLUMNS = ("status", "primal_obj", "dual_obj", "report_sha1")
+
+
+def summarize(pairs):
+    """Print what the (old, new) census fields of the trials that differ in
+    both trees say about the change."""
+    only_iterations = report = 0
+    status_moves = Counter()
+    fixed, broken, rises = 0, [], []
+    for a, b in pairs:
+        changed = [col for col in COLUMNS if a[col] != b[col]]
+        only_iterations += changed == ["iterations"]
+        report += any(col in REPORT_COLUMNS for col in changed)
+        if a["status"] != b["status"]:
+            status_moves[f"{a['status']} -> {b['status']}"] += 1
+        elif a["status"] == "optimal":
+            old_w = float.fromhex(a["objective_w"])
+            rises.append(((float.fromhex(b["objective_w"]) - old_w) / max(abs(old_w), 1e-300), b))
+        if a["checks"] != "ok" and b["checks"] == "ok":
+            fixed += 1
+        elif a["checks"] == "ok" and b["checks"] != "ok":
+            broken.append(b)
+    print(f"{only_iterations} differ only in iterations, {report} in the solver's report")
+    print(f"status moves: {dict(status_moves)}")
+    rise, trial = max(rises, key=lambda p: p[0], default=(0.0, None))
+    name = "" if trial is None else " (" + ", ".join(trial[c] for c in COLUMNS[:4]) + ")"
+    print(f"largest objective_w rise on trials optimal in both: {rise:+.2e} relative{name}")
+    print(f"checks over all trials: {fixed} go from failing to ok, {len(broken)} from ok to failing")
+    for b in broken:
+        print(f"  {b['workload']} seed {b['seed']}, {b['gamma_dl_db']} dB, {b['scheme']} "
+              f"({b['checks']})")
+
+
 def diff(old, new, seeds, names):
-    """Print the trials whose census lines differ and the pool report;
-    return the exit status."""
+    """Print the trials whose census lines differ, their summary and the pool
+    report; return the exit status."""
     before, after = run_trees((old, new), seeds, names)
-    differ = 0
+    differ, pairs = 0, []
     for key in sorted(before.keys() | after.keys()):
         if before.get(key) != after.get(key):
             differ += 1
             print(f"- {before.get(key, '(missing)')}\n+ {after.get(key, '(missing)')}")
-    counts = {}
-    for ln in after.values():
-        status = ln.split("\t")[4]
-        counts[status] = counts.get(status, 0) + 1
-    print(f"{len(after)} trials, {differ} differ; statuses {counts}")
+            if key in before and key in after:
+                pairs.append(tuple(dict(zip(COLUMNS, lines[key].split("\t")))
+                                   for lines in (before, after)))
+    counts = Counter(ln.split("\t")[4] for ln in after.values())
+    print(f"{len(after)} trials, {differ} differ; statuses {dict(counts)}")
+    summarize(pairs)
     if pool_report(new, before, after, names):
         return 2
     return 1 if differ else 0
